@@ -69,7 +69,7 @@ func simulate(withProdigy bool) prodigy.SimResult {
 	// The kernel: load idx[i], load data[idx[i]], branch on the value
 	// (the data-dependent branch that makes irregular kernels
 	// latency-bound, Section II).
-	res, err := prodigy.RunMachine(machine, space, prodigy.NewTraceGen(1, 1<<20), func(g *prodigy.TraceGen) {
+	res, err := prodigy.RunMachine(machine, space, prodigy.NewTraceGen(1), func(g *prodigy.TraceGen) {
 		for i := 0; i < n; i++ {
 			v := idx.Data[i]
 			g.Load(0, 1, idx.Addr(i))

@@ -45,6 +45,22 @@ type Config struct {
 // DefaultConfig returns the paper's chosen design point.
 func DefaultConfig() Config { return Config{PFHREntries: 16, MaxRangedLines: 64} }
 
+// Resolved returns the configuration a prefetcher built from c runs with:
+// zero sizes take their defaults and the PFHR file is capped at the
+// hardware maximum.
+func (c Config) Resolved() Config {
+	if c.PFHREntries <= 0 {
+		c.PFHREntries = 16
+	}
+	if c.PFHREntries > maxPFHREntries {
+		c.PFHREntries = maxPFHREntries
+	}
+	if c.MaxRangedLines <= 0 {
+		c.MaxRangedLines = 64
+	}
+	return c
+}
+
 // maxWalkDepth bounds the synchronous DIG walk so that a cyclic DIG with
 // fully resident data cannot recurse unboundedly.
 const maxWalkDepth = 12
@@ -149,15 +165,7 @@ func New(d *dig.DIG, cfg Config) prefetch.Factory {
 // NewPrefetcher builds a single Prodigy instance (tests use this
 // directly; the simulator goes through New).
 func NewPrefetcher(env prefetch.Env, d *dig.DIG, cfg Config) *Prodigy {
-	if cfg.PFHREntries <= 0 {
-		cfg.PFHREntries = 16
-	}
-	if cfg.PFHREntries > maxPFHREntries {
-		cfg.PFHREntries = maxPFHREntries
-	}
-	if cfg.MaxRangedLines <= 0 {
-		cfg.MaxRangedLines = 64
-	}
+	cfg = cfg.Resolved()
 	p := &Prodigy{
 		env:  env,
 		d:    d,

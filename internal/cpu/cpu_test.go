@@ -44,9 +44,8 @@ func runCore(t *testing.T, c *Core) int64 {
 }
 
 func collectReader(instrs func(g *trace.Gen)) *trace.Reader {
-	g := trace.NewGen(1, 0)
-	instrs(g)
-	g.Close()
+	g := trace.NewGen(1)
+	g.Attach(instrs)
 	return g.Reader(0)
 }
 

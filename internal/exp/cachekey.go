@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"prodigy/internal/cache"
-	"prodigy/internal/core"
 	"prodigy/internal/cpu"
 	"prodigy/internal/dram"
 	"prodigy/internal/graph"
@@ -27,25 +26,25 @@ import (
 // cellKeySchema versions the key derivation. Bump it whenever the
 // simulator's timing model or the key material below changes shape, so
 // stale cached results are never replayed as current ones.
-const cellKeySchema = 1
+const cellKeySchema = 2
 
 // cellKeyMaterial is the canonical, JSON-marshalable image of one grid
 // cell's full configuration. Only plain structs appear here (no maps, no
 // function values), so the marshaled bytes are deterministic.
 type cellKeyMaterial struct {
-	Schema    int          `json:"schema"`
-	Algo      string       `json:"algo"`
-	Dataset   string       `json:"dataset"`
-	Scheme    string       `json:"scheme"`
-	Cores     int          `json:"cores"`
-	Scale     graph.Scale  `json:"scale"`
-	PFHR      int          `json:"pfhr"`
-	MaxCycles int64        `json:"max_cycles"`
-	MSHRs     int          `json:"mshrs"`
-	CPU       cpu.Config   `json:"cpu"`
-	Cache     cache.Config `json:"cache"`
-	DRAM      dram.Config  `json:"dram"`
-	TLB       tlb.Config   `json:"tlb"`
+	Schema    int            `json:"schema"`
+	Algo      string         `json:"algo"`
+	Dataset   string         `json:"dataset"`
+	Scheme    string         `json:"scheme"`
+	Cores     int            `json:"cores"`
+	Scale     graph.Scale    `json:"scale"`
+	MaxCycles int64          `json:"max_cycles"`
+	MSHRs     int            `json:"mshrs"`
+	CPU       cpu.Config     `json:"cpu"`
+	Cache     cache.Config   `json:"cache"`
+	DRAM      dram.Config    `json:"dram"`
+	TLB       tlb.Config     `json:"tlb"`
+	Prefetch  prefetchConfig `json:"prefetch"`
 }
 
 // CellKey returns the canonical persistent-cache key for one
@@ -54,37 +53,47 @@ type cellKeyMaterial struct {
 // keys its durable result store on it, so restarted servers and repeated
 // CI sweeps recognize already-simulated cells across processes.
 func (h *Harness) CellKey(algo, dataset string, scheme Scheme) (string, error) {
-	if _, err := ParseScheme(string(scheme)); err != nil {
+	m, err := h.cellKeyMaterial(algo, dataset, scheme)
+	if err != nil {
 		return "", err
 	}
-	cores := h.Cfg.Cores
-	pfhr := h.Cfg.PFHREntries
-	if pfhr == 0 {
-		pfhr = core.DefaultConfig().PFHREntries
+	return m.digest()
+}
+
+// cellKeyMaterial resolves the key material of one default-knob cell.
+func (h *Harness) cellKeyMaterial(algo, dataset string, scheme Scheme) (cellKeyMaterial, error) {
+	pf, err := h.schemePrefetch(scheme, runVariant{})
+	if err != nil {
+		return cellKeyMaterial{}, err
 	}
+	cores := h.Cfg.Cores
 	ccfg := cache.ScaledDefault(cores)
 	if h.Cfg.CacheOverride != nil {
 		ccfg = *h.Cfg.CacheOverride
 		ccfg.Cores = cores
 	}
-	m := cellKeyMaterial{
+	return cellKeyMaterial{
 		Schema:    cellKeySchema,
 		Algo:      algo,
 		Dataset:   dataset,
 		Scheme:    string(scheme),
 		Cores:     cores,
 		Scale:     h.Cfg.Scale,
-		PFHR:      pfhr,
 		MaxCycles: h.Cfg.MaxCycles,
 		MSHRs:     h.mshrOverride,
 		CPU:       cpu.DefaultConfig(),
 		Cache:     ccfg,
 		DRAM:      dram.Default(),
 		TLB:       tlb.Default(),
-	}
+		Prefetch:  pf,
+	}, nil
+}
+
+// digest is the SHA-256 hex digest of the material's canonical JSON.
+func (m cellKeyMaterial) digest() (string, error) {
 	b, err := json.Marshal(m)
 	if err != nil {
-		return "", fmt.Errorf("exp: cell key for %s-%s/%s: %w", algo, dataset, scheme, err)
+		return "", fmt.Errorf("exp: cell key for %s-%s/%s: %w", m.Algo, m.Dataset, m.Scheme, err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil

@@ -63,11 +63,6 @@ type Config struct {
 	// the caches along with the tiny datasets so the working-set-to-LLC
 	// ratio of DESIGN.md §2 is preserved at test scale).
 	CacheOverride *cache.Config
-	// MaxBuffered selects the trace generator's asynchronous mode when
-	// positive (any positive value behaves the same: the producer stays
-	// exactly one synchronization epoch ahead of the simulator). Kept for
-	// configuration compatibility; New defaults it to a positive value.
-	MaxBuffered int
 	// Parallelism bounds how many simulations a figure sweep runs
 	// concurrently. 0 means GOMAXPROCS; 1 restores fully serial execution.
 	// Results are memoized by grid key, never by completion order, so every
@@ -213,9 +208,6 @@ func New(cfg Config) *Harness {
 	if len(cfg.Datasets) == 0 {
 		cfg.Datasets = graph.DatasetNames()
 	}
-	if cfg.MaxBuffered == 0 {
-		cfg.MaxBuffered = 1 << 21
-	}
 	if cfg.ProgressInterval <= 0 {
 		cfg.ProgressInterval = 5 * time.Second
 	}
@@ -232,6 +224,77 @@ type runVariant struct {
 	singleSeq bool
 	fillL2    bool
 	cores     int
+}
+
+// prefetchConfig is the resolved configuration of one scheme's
+// prefetcher: at most one field is set, none for SchemeNone and
+// SchemeSoftware. simulate builds the prefetcher from it and CellKey
+// hashes it, so the cache key covers exactly what the machine is built
+// from.
+type prefetchConfig struct {
+	Stride  *prefetch.StrideConfig  `json:"stride,omitempty"`
+	GHB     *prefetch.GHBConfig     `json:"ghb,omitempty"`
+	IMP     *prefetch.IMPConfig     `json:"imp,omitempty"`
+	Droplet *prefetch.DropletConfig `json:"droplet,omitempty"`
+	// AJ is the single-sequence Prodigy form A&J reuses per chain.
+	AJ      *core.Config `json:"aj,omitempty"`
+	Prodigy *core.Config `json:"prodigy,omitempty"`
+}
+
+// schemePrefetch resolves the prefetcher configuration of scheme under
+// variant v.
+func (h *Harness) schemePrefetch(scheme Scheme, v runVariant) (prefetchConfig, error) {
+	pfhr := h.Cfg.PFHREntries
+	if v.pfhr > 0 {
+		pfhr = v.pfhr
+	}
+	var pc prefetchConfig
+	switch scheme {
+	case SchemeNone, SchemeSoftware:
+	case SchemeStride:
+		c := prefetch.DefaultStrideConfig()
+		pc.Stride = &c
+	case SchemeGHB:
+		c := prefetch.DefaultGHBConfig()
+		pc.GHB = &c
+	case SchemeIMP:
+		c := prefetch.DefaultIMPConfig()
+		pc.IMP = &c
+	case SchemeAJ:
+		c := core.Config{PFHREntries: pfhr, SingleSequence: true}.Resolved()
+		pc.AJ = &c
+	case SchemeDroplet:
+		c := prefetch.DefaultDropletConfig()
+		pc.Droplet = &c
+	case SchemeProdigy:
+		c := core.Config{PFHREntries: pfhr, DisableRanged: v.noRanged, SingleSequence: v.singleSeq}.Resolved()
+		pc.Prodigy = &c
+	default:
+		return pc, fmt.Errorf("exp: unknown scheme %q", scheme)
+	}
+	return pc, nil
+}
+
+// factory builds the configured prefetcher over d (nil: no prefetcher).
+func (pc prefetchConfig) factory(d *dig.DIG) prefetch.Factory {
+	switch {
+	case pc.Stride != nil:
+		return prefetch.Stride(*pc.Stride)
+	case pc.GHB != nil:
+		return prefetch.GHB(*pc.GHB)
+	case pc.IMP != nil:
+		return prefetch.IMP(*pc.IMP)
+	case pc.AJ != nil:
+		// A&J reuses the DIG-walking machinery restricted to its design
+		// point: BFS-shaped chain, one sequence, no dropping.
+		cfg := *pc.AJ
+		return prefetch.AJ(d, func(chain *dig.DIG) prefetch.Factory { return core.New(chain, cfg) })
+	case pc.Droplet != nil:
+		return prefetch.Droplet(d, *pc.Droplet)
+	case pc.Prodigy != nil:
+		return core.New(d, *pc.Prodigy)
+	}
+	return nil
 }
 
 // RunOne simulates one (algo, dataset, scheme) cell with default knobs.
@@ -307,42 +370,13 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		return nil, err
 	}
 
-	pfhr := h.Cfg.PFHREntries
-	if v.pfhr > 0 {
-		pfhr = v.pfhr
-	}
-	proCfg := core.Config{
-		PFHREntries:    pfhr,
-		DisableRanged:  v.noRanged,
-		SingleSequence: v.singleSeq,
+	pf, err := h.schemePrefetch(scheme, v)
+	if err != nil {
+		return nil, err
 	}
 	d := w.DIG
 	if v.lookahead > 0 || v.numSeqs > 0 {
 		d = overrideTrigger(d, v.lookahead, v.numSeqs)
-	}
-
-	var fac prefetch.Factory
-	switch scheme {
-	case SchemeNone, SchemeSoftware:
-		fac = nil
-	case SchemeStride:
-		fac = prefetch.Stride(prefetch.DefaultStrideConfig())
-	case SchemeGHB:
-		fac = prefetch.GHB(prefetch.DefaultGHBConfig())
-	case SchemeIMP:
-		fac = prefetch.IMP(prefetch.DefaultIMPConfig())
-	case SchemeAJ:
-		// A&J reuses the DIG-walking machinery restricted to its design
-		// point: BFS-shaped chain, one sequence, no dropping.
-		fac = prefetch.AJ(d, func(chain *dig.DIG) prefetch.Factory {
-			return core.New(chain, core.Config{PFHREntries: pfhr, SingleSequence: true})
-		})
-	case SchemeDroplet:
-		fac = prefetch.Droplet(d, prefetch.DefaultDropletConfig())
-	case SchemeProdigy:
-		fac = core.New(d, proCfg)
-	default:
-		return nil, fmt.Errorf("exp: unknown scheme %q", scheme)
 	}
 
 	ccfg := cache.ScaledDefault(cores)
@@ -356,7 +390,7 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		Cache:          ccfg,
 		DRAM:           dram.Default(),
 		TLB:            tlb.Default(),
-		Prefetcher:     fac,
+		Prefetcher:     pf.factory(d),
 		PrefetchFillL2: v.fillL2,
 		PrefetchMSHRs:  h.mshrOverride,
 		MaxCycles:      h.Cfg.MaxCycles,
@@ -433,7 +467,7 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		}
 	}
 
-	res, err := sim.Run(scfg, w.Space, trace.NewGen(cores, h.Cfg.MaxBuffered), w.Run)
+	res, err := sim.Run(scfg, w.Space, trace.NewGen(cores), w.Run)
 	cerr := errors.Join(closeObs(), closeLedger())
 	if err != nil {
 		err = fmt.Errorf("exp: %s/%s: %w", w.Label(), scheme, err)

@@ -478,8 +478,10 @@ func (s *Sweep) Summaries() ([]exp.RunSummary, error) {
 // worker pool (Start already replayed the cached cells).
 func (s *Sweep) run() {
 	defer s.farm.wg.Done()
-	defer close(s.done)
+	// done closes before the log: a client that reads the stream to its
+	// end must then see the sweep as finished.
 	defer s.Log.Close()
+	defer close(s.done)
 	defer s.closeFile()
 	defer s.settle()
 

@@ -1,5 +1,5 @@
 // Package copylock is a lint fixture: by-value copies of a mutex-bearing
-// struct, mimicking trace.Gen.
+// struct, like exp.Harness.
 package copylock
 
 import "sync"

@@ -28,7 +28,7 @@ func buildGather(n int) (*dig.DIG, func(*trace.Gen)) {
 			k := idx.Data[i]
 			tg.Load(0, 2, data.Addr(int(k)))
 		}
-		tg.Close()
+		tg.Barrier()
 	}
 	d, _ := b.Build()
 	return d, run

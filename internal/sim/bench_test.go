@@ -15,7 +15,7 @@ import (
 func BenchmarkPrefetchIssueProcess(b *testing.B) {
 	space := memspace.New()
 	space.AllocU32("a", 1<<16)
-	m := mustMachine(b, Default(1), space, trace.NewGen(1, 1<<20))
+	m := mustMachine(b, Default(1), space, trace.NewGen(1))
 	line := uint64(m.cfg.Cache.LineSize)
 	const batch = 64 // stay under the per-core MSHR cap between drains
 	b.ReportAllocs()

@@ -37,7 +37,7 @@ func TestLatencyHookPlateaus(t *testing.T) {
 	cfg.LatencyHook = func(core int, lat int64, lvl cache.Level) {
 		recs = append(recs, latRec{core, lat, lvl})
 	}
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<10), func(g *trace.Gen) {
+	_, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {
 		g.Load(0, 1, arr.Addr(0))
 		g.Load(0, 2, arr.Addr(0))
 	})
@@ -65,7 +65,7 @@ func TestLatencyHookSkipsStores(t *testing.T) {
 	cfg := serialConfig(1)
 	var n int
 	cfg.LatencyHook = func(int, int64, cache.Level) { n++ }
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<10), func(g *trace.Gen) {
+	_, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {
 		g.Load(0, 1, arr.Addr(0))
 		g.Store(0, 2, arr.Addr(8))
 		g.Load(0, 3, arr.Addr(16))
@@ -87,7 +87,7 @@ func TestLatencyHookDoesNotPerturbTiming(t *testing.T) {
 		cfg := Default(2)
 		cfg.Prefetcher = prefetch.Stride(prefetch.StrideConfig{Degree: 4, TableSize: 64})
 		cfg.LatencyHook = hook
-		res, err := Run(cfg, space, trace.NewGen(2, 1<<20), func(g *trace.Gen) {
+		res, err := Run(cfg, space, trace.NewGen(2), func(g *trace.Gen) {
 			for i := range arr.Data {
 				g.Load(i%2, 1, arr.Addr(i))
 			}
@@ -120,7 +120,7 @@ func TestLatencyHookDoesNotPerturbTiming(t *testing.T) {
 func TestPrefetchChargedTLBWalk(t *testing.T) {
 	space := memspace.New()
 	space.AllocU64("a", 1024)
-	m := mustMachine(t, serialConfig(1), space, trace.NewGen(1, 16))
+	m := mustMachine(t, serialConfig(1), space, trace.NewGen(1))
 	addr := uint64(memspace.Base)
 	if !m.issuePrefetch(0, addr, prefetch.UntrackedMeta) {
 		t.Fatal("prefetch dropped")
@@ -145,7 +145,7 @@ func TestPrefetchChargedTLBWalk(t *testing.T) {
 func TestPrefetchSharesDemandTLB(t *testing.T) {
 	space := memspace.New()
 	space.AllocU64("a", 1024)
-	m := mustMachine(t, serialConfig(1), space, trace.NewGen(1, 16))
+	m := mustMachine(t, serialConfig(1), space, trace.NewGen(1))
 	base := uint64(memspace.Base)
 	// Demand load walks the page and installs the translation.
 	m.demandAccess(0, 0, trace.Instr{Kind: trace.Load, Addr: base, PC: 1})

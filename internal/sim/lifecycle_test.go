@@ -24,7 +24,7 @@ func pfq(m *Machine) PrefetchQuality {
 func TestLifecycleTimelyFill(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 1024)
-	m := mustMachine(t, Default(1), space, trace.NewGen(1, 0))
+	m := mustMachine(t, Default(1), space, trace.NewGen(1))
 	m.now = 0
 	if !m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta) {
 		t.Fatal("issue rejected")
@@ -59,7 +59,7 @@ func TestLifecycleTimelyFill(t *testing.T) {
 func TestLifecycleLateMerge(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 1024)
-	m := mustMachine(t, Default(1), space, trace.NewGen(1, 0))
+	m := mustMachine(t, Default(1), space, trace.NewGen(1))
 	m.now = 0
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	// Demand arrives while the fill is still in flight.
@@ -97,7 +97,7 @@ func TestLifecycleEvictedUnused(t *testing.T) {
 		L3Size: 16 << 10, L3Assoc: 16,
 		L1Lat: 2, L2Lat: 6, L3Lat: 30,
 	}
-	m := mustMachine(t, cfg, space, trace.NewGen(1, 0))
+	m := mustMachine(t, cfg, space, trace.NewGen(1))
 	m.now = 0
 	// Twice the L3's line capacity, never demanded: the overflow must be
 	// classified evicted-unused.
@@ -129,7 +129,7 @@ func TestLifecycleEvictedUnused(t *testing.T) {
 func TestLifecycleRedundantIssue(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 1024)
-	m := mustMachine(t, Default(1), space, trace.NewGen(1, 0))
+	m := mustMachine(t, Default(1), space, trace.NewGen(1))
 	m.now = 0
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	// Duplicate while in flight: absorbed, not re-issued.
@@ -154,7 +154,7 @@ func TestLifecycleMSHRDrop(t *testing.T) {
 	arr := space.AllocU32("a", 1024)
 	cfg := Default(1)
 	cfg.PrefetchMSHRs = 1
-	m := mustMachine(t, cfg, space, trace.NewGen(1, 0))
+	m := mustMachine(t, cfg, space, trace.NewGen(1))
 	m.now = 0
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	if m.issuePrefetch(0, arr.Addr(64), prefetch.UntrackedMeta) {
@@ -176,7 +176,7 @@ func TestQualityAggAcrossCores(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(2)
 	cfg.Prefetcher = prefetch.Stride(prefetch.DefaultStrideConfig())
-	res, err := Run(cfg, space, trace.NewGen(2, 1<<20), func(g *trace.Gen) {
+	res, err := Run(cfg, space, trace.NewGen(2), func(g *trace.Gen) {
 		for i := 0; i < len(arr.Data); i++ {
 			g.Load(i%2, 1, arr.Addr(i))
 		}
@@ -215,7 +215,7 @@ func TestLedgerHookRecordsLifecycle(t *testing.T) {
 	cfg := Default(1)
 	var events []PFLineEvent
 	cfg.LedgerHook = func(ev PFLineEvent) { events = append(events, ev) }
-	m := mustMachine(t, cfg, space, trace.NewGen(1, 0))
+	m := mustMachine(t, cfg, space, trace.NewGen(1))
 	m.now = 5
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	m.issuePrefetch(0, arr.Addr(64), prefetch.UntrackedMeta)

@@ -240,15 +240,14 @@ func TestSchedulerMatchesReferenceStepper(t *testing.T) {
 				cfg := Default(cores)
 				cfg.Prefetcher = scheme.fac(d)
 				cfg.PrefetchMSHRs = mshrs
-				gen := trace.NewGen(cores, 1<<20)
+				gen := trace.NewGen(cores)
 				m := mustMachine(t, cfg, space, gen)
-				wait := gen.Run(refReplay(ops))
+				stop := gen.Attach(refReplay(ops))
 				res, err := drive(m)
-				gen.Abort()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if werr := wait(); werr != nil {
+				if werr := stop(); werr != nil {
 					t.Fatal(werr)
 				}
 				return res

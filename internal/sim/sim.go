@@ -1047,10 +1047,11 @@ func (m *Machine) Run() (Result, error) {
 	return res, nil
 }
 
-// Run assembles a machine and runs a workload generator to completion. The
-// producer emits instruction streams into gen while the machine consumes
-// them.
-func Run(cfg Config, space *memspace.Space, gen *trace.Gen, producer func(*trace.Gen)) (Result, error) {
+// Run assembles a machine and runs a workload generator to completion: the
+// machine pulls the producer's instruction streams from gen one epoch at a
+// time. If the machine stops early (error, interrupt, panic), the producer
+// is unwound at the barrier where it is parked.
+func Run(cfg Config, space *memspace.Space, gen *trace.Gen, producer func(*trace.Gen)) (res Result, err error) {
 	m, err := NewMachine(cfg, space, gen)
 	if err != nil {
 		// Close any attached trace/metrics writers so a construction failure
@@ -1058,14 +1059,11 @@ func Run(cfg Config, space *memspace.Space, gen *trace.Gen, producer func(*trace
 		_ = cfg.Obs.Finish(0)
 		return Result{}, err
 	}
-	wait := gen.Run(producer)
-	res, err := m.Run()
-	// Unblock the producer if the machine stopped early (error, interrupt):
-	// it cannot be killed, so it runs to completion against a closed sink.
-	// On a clean finish the streams are already closed and this is a no-op.
-	gen.Abort()
-	if perr := wait(); perr != nil && err == nil {
-		res, err = Result{}, perr
-	}
-	return res, err
+	stop := gen.Attach(producer)
+	defer func() {
+		if perr := stop(); perr != nil && err == nil {
+			res, err = Result{}, perr
+		}
+	}()
+	return m.Run()
 }

@@ -37,7 +37,7 @@ func TestSequentialScanCompletes(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 4096)
 	cfg := Default(1)
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	res, err := Run(cfg, space, trace.NewGen(1), seqWorkload(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSequentialScanCompletes(t *testing.T) {
 func TestStackAccountingMatchesCycles(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 2048)
-	res, err := Run(Default(1), space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	res, err := Run(Default(1), space, trace.NewGen(1), seqWorkload(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() Result {
 		space := memspace.New()
 		arr := space.AllocU32("a", 2048)
-		res, err := Run(Default(2), space, trace.NewGen(2, 1<<20), func(g *trace.Gen) {
+		res, err := Run(Default(2), space, trace.NewGen(2), func(g *trace.Gen) {
 			for i := range arr.Data {
 				g.Load(i%2, 1, arr.Addr(i))
 			}
@@ -95,7 +95,7 @@ func TestBarrierSynchronizesCores(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 8192)
 	// Core 0 does 10x the work before the barrier; core 1 must wait.
-	res, err := Run(Default(2), space, trace.NewGen(2, 1<<20), func(g *trace.Gen) {
+	res, err := Run(Default(2), space, trace.NewGen(2), func(g *trace.Gen) {
 		for i := 0; i < 5000; i++ {
 			g.Load(0, 1, arr.Addr(i%8192))
 		}
@@ -120,7 +120,7 @@ func TestStridePrefetcherSpeedsUpScan(t *testing.T) {
 		arr := space.AllocU32("a", 1<<16)
 		cfg := Default(1)
 		cfg.Prefetcher = fac
-		res, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+		res, err := Run(cfg, space, trace.NewGen(1), seqWorkload(arr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestProdigySpeedsUpIrregularWorkload(t *testing.T) {
 		if withProdigy {
 			cfg.Prefetcher = core.New(d, core.DefaultConfig())
 		}
-		res, err := Run(cfg, space, trace.NewGen(1, 1<<20), irregularWorkload(idx, data))
+		res, err := Run(cfg, space, trace.NewGen(1), irregularWorkload(idx, data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestPrefetchUsefulnessTracked(t *testing.T) {
 	space, idx, data, d := irregularSetup(t, n)
 	cfg := Default(1)
 	cfg.Prefetcher = core.New(d, core.DefaultConfig())
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), irregularWorkload(idx, data))
+	res, err := Run(cfg, space, trace.NewGen(1), irregularWorkload(idx, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSoftwarePrefetchInstructions(t *testing.T) {
 	mk := func(soft bool) Result {
 		space, idx, data, _ := irregularSetup(t, n)
 		cfg := Default(1)
-		res, err := Run(cfg, space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {
+		res, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {
 			const dist = 8
 			for i := range idx.Data {
 				if soft && i+dist < n {
@@ -262,7 +262,7 @@ func TestMultiCorePartitionedScan(t *testing.T) {
 	const cores = 4
 	space := memspace.New()
 	arr := space.AllocU32("a", 1<<14)
-	res, err := Run(Default(cores), space, trace.NewGen(cores, 1<<20), func(g *trace.Gen) {
+	res, err := Run(Default(cores), space, trace.NewGen(cores), func(g *trace.Gen) {
 		per := len(arr.Data) / cores
 		for c := 0; c < cores; c++ {
 			for i := c * per; i < (c+1)*per; i++ {
@@ -291,7 +291,7 @@ func TestInFlightMergeCountsLatePrefetch(t *testing.T) {
 	cfg := Default(1)
 	// Prefetcher that prefetches the demanded line + next line once.
 	cfg.Prefetcher = prefetch.Stride(prefetch.StrideConfig{TableSize: 8, Degree: 8})
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {
+	res, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {
 		// Strided misses back-to-back: the stride prefetcher issues ahead,
 		// then demands arrive before fills complete.
 		for i := 0; i < len(arr.Data); i += 16 {
@@ -309,7 +309,7 @@ func TestInFlightMergeCountsLatePrefetch(t *testing.T) {
 func TestIPCAndLevels(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 256)
-	res, err := Run(Default(1), space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {
+	res, err := Run(Default(1), space, trace.NewGen(1), func(g *trace.Gen) {
 		// Touch everything (cold), then re-scan (hot): second pass hits L1.
 		for pass := 0; pass < 2; pass++ {
 			for i := range arr.Data {
@@ -337,7 +337,7 @@ func TestLevelServiceClassification(t *testing.T) {
 	// service level for stall classification.
 	space := memspace.New()
 	arr := space.AllocU32("a", 64)
-	m := mustMachine(t, Default(1), space, trace.NewGen(1, 0))
+	m := mustMachine(t, Default(1), space, trace.NewGen(1))
 	m.now = 0
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	ready, level := m.demandAccess(0, 1, trace.Instr{Kind: trace.Load, Addr: arr.Addr(0), PC: 1})
@@ -357,7 +357,7 @@ func TestPrefetchMSHRCap(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.PrefetchMSHRs = 4
-	m := mustMachine(t, cfg, space, trace.NewGen(1, 0))
+	m := mustMachine(t, cfg, space, trace.NewGen(1))
 	m.now = 0
 	accepted := 0
 	for i := 0; i < 10; i++ {
@@ -386,7 +386,7 @@ func TestDemandPriorityKeepsDemandsFast(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 1<<16)
 	cfg := Default(1)
-	m := mustMachine(t, cfg, space, trace.NewGen(1, 0))
+	m := mustMachine(t, cfg, space, trace.NewGen(1))
 	m.now = 0
 	for i := 0; i < 100; i++ {
 		m.issuePrefetch(0, arr.Addr(i*16), prefetch.UntrackedMeta)
@@ -406,7 +406,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.MaxCycles = 100 // far below what the workload needs
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	_, err := Run(cfg, space, trace.NewGen(1), seqWorkload(arr))
 	if err == nil {
 		t.Fatal("expected MaxCycles error")
 	}
@@ -417,7 +417,7 @@ func TestInterruptAborts(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.Interrupt = func() bool { return true }
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	_, err := Run(cfg, space, trace.NewGen(1), seqWorkload(arr))
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("expected interrupt error, got %v", err)
 	}
@@ -431,7 +431,7 @@ func TestInterruptPolledDuringRun(t *testing.T) {
 	polls := 0
 	cfg := Default(1)
 	cfg.Interrupt = func() bool { polls++; return polls > 3 }
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	_, err := Run(cfg, space, trace.NewGen(1), seqWorkload(arr))
 	if err == nil {
 		t.Fatal("expected interrupt error")
 	}
@@ -443,7 +443,7 @@ func TestInterruptPolledDuringRun(t *testing.T) {
 	arr2 := space2.AllocU32("a", 1<<14)
 	cfg2 := Default(1)
 	cfg2.Interrupt = func() bool { return false }
-	res, err := Run(cfg2, space2, trace.NewGen(1, 1<<20), seqWorkload(arr2))
+	res, err := Run(cfg2, space2, trace.NewGen(1), seqWorkload(arr2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,15 +452,45 @@ func TestInterruptPolledDuringRun(t *testing.T) {
 	}
 }
 
+func TestInterruptUnwindsProducer(t *testing.T) {
+	// An interrupted run returns at the poll that trips it and unwinds the
+	// producer at the barrier where it is parked, instead of running the
+	// rest of the kernel. The interrupt trips while epoch 2 is being
+	// simulated, when the producer has passed one barrier.
+	const epochs = 100
+	space := memspace.New()
+	arr := space.AllocU32("a", 1<<12)
+	passed, unwound := 0, false
+	cfg := Default(1)
+	cfg.Interrupt = func() bool { return passed >= 1 }
+	res, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {
+		defer func() { unwound = true }()
+		for e := 0; e < epochs; e++ {
+			seqWorkload(arr)(g)
+			g.Barrier()
+			passed++
+		}
+	})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if passed > 2 || !unwound {
+		t.Fatalf("producer passed %d of %d barriers (want at most 2), unwound %v (want true)", passed, epochs, unwound)
+	}
+	if res.Agg.Retired == 0 {
+		t.Fatal("aborted run reported no partial stats")
+	}
+}
+
 func TestNewMachineRejectsBadConfig(t *testing.T) {
 	space := memspace.New()
 	cfg := Default(1)
 	cfg.Cache.L1Size = 768 // 6 sets per way: not a power of two
-	if _, err := NewMachine(cfg, space, trace.NewGen(1, 0)); err == nil {
+	if _, err := NewMachine(cfg, space, trace.NewGen(1)); err == nil {
 		t.Fatal("NewMachine accepted a non-power-of-two cache geometry")
 	}
 	// The same bad point must surface as a run error, not a panic.
-	if _, err := Run(cfg, space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {}); err == nil {
+	if _, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {}); err == nil {
 		t.Fatal("Run accepted a bad config")
 	}
 }
@@ -471,7 +501,7 @@ func TestMergedStoreDrainsThroughStoreBuffer(t *testing.T) {
 	// like the DRAM-miss store path. Atomics still wait.
 	space := memspace.New()
 	arr := space.AllocU32("a", 1024)
-	m := mustMachine(t, Default(1), space, trace.NewGen(1, 0))
+	m := mustMachine(t, Default(1), space, trace.NewGen(1))
 	m.now = 0
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	m.issuePrefetch(0, arr.Addr(256), prefetch.UntrackedMeta)
@@ -498,7 +528,7 @@ func TestAbortReturnsPartialStats(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.MaxCycles = 2000
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	res, err := Run(cfg, space, trace.NewGen(1), seqWorkload(arr))
 	if !errors.Is(err, ErrMaxCycles) {
 		t.Fatalf("err = %v, want ErrMaxCycles", err)
 	}

@@ -2,19 +2,23 @@
 // generators to the timing simulator.
 //
 // Workloads execute functionally (on real arrays in a memspace.Space) and
-// emit one Instr per dynamic instruction. The generator runs in its own
-// goroutine and alternates strictly with the simulator one synchronization
-// epoch at a time: it stages an epoch, publishes it at the barrier, and
-// blocks until the simulator has drained it. Memory stays proportional to
-// one epoch rather than the whole trace, and because exactly one side runs
-// at any instant, plain workload stores and functional simulator reads of
-// the same arrays are race-free and deterministic.
+// emit one Instr per dynamic instruction. The workload kernel runs as a
+// coroutine (iter.Pull) that the simulator pulls one synchronization epoch
+// at a time: when a core's Reader runs dry, it resumes the kernel, which
+// stages a whole epoch for every core and parks again at its next Barrier.
+// Memory stays proportional to one epoch rather than the whole trace, and
+// because exactly one side runs at any instant, plain workload stores and
+// functional simulator reads of the same arrays are race-free and
+// deterministic: the prefetchers always see memory as of the end of the
+// epoch being consumed. A simulator that stops early (error, interrupt)
+// unwinds the kernel at the Barrier where it is parked, so an abandoned
+// run costs no further kernel work.
 package trace
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
-	"sync"
 )
 
 // Kind classifies a dynamic instruction.
@@ -92,15 +96,8 @@ func (in Instr) Taken() bool { return in.Flags&TakenFlag != 0 }
 // LoadDep reports whether a branch depends on a recent load.
 func (in Instr) LoadDep() bool { return in.Flags&LoadDepFlag != 0 }
 
-// chunkSize is the number of instructions flushed to a stream at once.
+// chunkSize is the number of instructions published to a reader at once.
 const chunkSize = 4096
-
-// Stream is a single core's instruction queue: the producer appends chunks,
-// one consumer pops them. All fields are guarded by the owning Gen's mutex.
-type Stream struct {
-	chunks [][]Instr
-	closed bool
-}
 
 // Reader is the simulator-side cursor over one core's stream. Next
 // deposits each instruction in In rather than returning it; see Next.
@@ -112,15 +109,16 @@ type Reader struct {
 	// node than the budget allows).
 	n int
 	// In holds the instruction the most recent successful Next produced.
-	In   Instr
-	s    *Stream
-	gen  *Gen
-	done bool
+	In Instr
+	// queue holds the chunks published to this core, oldest first.
+	queue [][]Instr
+	gen   *Gen
 }
 
 // Next advances to the next instruction, depositing it in r.In, and
 // reports whether one was available (false means the stream is
-// exhausted). It blocks while the generator is producing the next epoch.
+// exhausted). When the published chunks run out it resumes the producer
+// for the next epoch.
 //
 // The deposit-in-field shape is deliberate: every value-returning
 // variant of this function costs more than the compiler's inlining
@@ -142,215 +140,135 @@ func (r *Reader) Next() bool {
 	return r.nextSlow()
 }
 
-// nextSlow refills the chunk cursor (or reports exhaustion) and deposits
-// the next instruction in r.In.
+// nextSlow recycles the exhausted chunk, takes the next one from the
+// queue — pulling the next epoch from the producer when the queue is
+// empty — and deposits its first instruction in r.In. It reports false
+// once the producer has finished and the queue is drained.
 func (r *Reader) nextSlow() bool {
-	for r.pos >= len(r.cur) {
-		if r.done {
-			return false
-		}
-		c, ok := r.gen.pop(r.s, r.cur)
-		if !ok {
-			r.done = true
-			r.cur = nil
-			r.n = 0
-			r.pos = 0
-			return false
-		}
-		r.cur = c
-		r.n = len(c)
-		r.pos = 0
+	if cap(r.cur) > 0 {
+		//lint:allow hotpath-alloc chunk recycling: the free list is bounded by the chunks in flight per epoch, so growth stops after the first epoch
+		r.gen.free = append(r.gen.free, r.cur[:0])
+		r.cur, r.n = nil, 0
 	}
-	r.In = r.cur[r.pos]
-	r.pos++
+	for len(r.queue) == 0 {
+		if !r.gen.resume() {
+			return false
+		}
+	}
+	r.cur = r.queue[0]
+	r.queue[0] = nil
+	r.queue = r.queue[1:]
+	r.n = len(r.cur)
+	r.In = r.cur[0]
+	r.pos = 1
 	return true
 }
 
-// Gen produces per-core instruction streams. All emit methods must be
-// called from a single producer goroutine.
-//
-// In asynchronous mode the producer and the consumer alternate strictly:
-// the producer stages each epoch's chunks privately, publishes them at the
-// Barrier, and then blocks until the consumer has drained every stream and
-// parked again waiting for more. At any instant at most one of the two is
-// running, so workloads may write their memspace arrays with plain stores
-// while the simulator performs functional reads of the same arrays — the
-// handoff mutex orders every write before every read that can observe it.
-// It also makes the values the prefetchers read deterministic: they always
-// see memory as of the end of the epoch being consumed.
+// Gen produces per-core instruction streams. Its emit methods are called
+// by one producer function, which Attach runs as a coroutine of the
+// Readers: it runs only while a Reader is waiting for the next epoch, and
+// every chunk it emits is published straight to that core's queue.
 type Gen struct {
-	streams []*Stream
 	readers []*Reader
-	bufs    [][]Instr   // per-core chunk being filled (producer-private)
-	pending [][][]Instr // per-core chunks staged until the next handoff
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiting bool // consumer is parked awaiting the next epoch
-	aborted bool // consumer abandoned the run; discard all further output
-	async   bool
-	// free recycles fully-consumed chunk buffers back to the producer
-	// (guarded by mu): steady-state emission reuses a handful of
-	// chunkSize-capacity arrays instead of growing fresh ones each epoch.
+	bufs    [][]Instr // per-core chunk being filled
+	// free recycles fully consumed chunk buffers back to the producer:
+	// steady-state emission reuses a handful of chunkSize-capacity arrays
+	// instead of growing fresh ones each epoch.
 	free [][]Instr
+	// yield parks the producer at a Barrier; it reports false once the
+	// consumer has stopped the producer.
+	yield func(struct{}) bool
+	// next resumes the producer until its next Barrier or its return. It
+	// is nil when no producer is attached or the producer has finished.
+	next func() (struct{}, bool)
 }
 
-// NewGen creates a generator for ncores cores. maxBuffered > 0 selects
-// asynchronous mode, where a producer goroutine alternates with the
-// consumer one epoch at a time (the limit itself is vestigial: buffering
-// is now bounded at one epoch regardless of its value). maxBuffered <= 0
-// selects synchronous mode — emissions publish immediately and barriers
-// never block — for producers that run to completion before any consumer
-// starts (Collect, unit tests).
-func NewGen(ncores, maxBuffered int) *Gen {
+// unwind is the panic value Barrier raises to abandon a stopped producer.
+type unwind struct{}
+
+// NewGen creates a generator for ncores cores.
+func NewGen(ncores int) *Gen {
 	g := &Gen{
-		streams: make([]*Stream, ncores),
 		readers: make([]*Reader, ncores),
 		bufs:    make([][]Instr, ncores),
-		pending: make([][][]Instr, ncores),
-		async:   maxBuffered > 0,
 	}
-	g.cond = sync.NewCond(&g.mu)
-	for i := range g.streams {
-		g.streams[i] = &Stream{}
-		g.readers[i] = &Reader{s: g.streams[i], gen: g}
+	for i := range g.readers {
+		g.readers[i] = &Reader{gen: g}
 	}
 	return g
 }
 
 // Cores returns the number of cores the generator feeds.
-func (g *Gen) Cores() int { return len(g.streams) }
+func (g *Gen) Cores() int { return len(g.readers) }
 
 // Reader returns the consumer cursor for a core.
 func (g *Gen) Reader(core int) *Reader { return g.readers[core] }
 
-// pop hands the consumer the next chunk of s, parking (and thereby handing
-// the turn to the producer) while none is available. Returns ok=false once
-// the stream is closed and empty. used is the chunk the reader just
-// finished; its backing array is recycled for the producer to refill.
-func (g *Gen) pop(s *Stream, used []Instr) ([]Instr, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if cap(used) > 0 {
-		//lint:allow hotpath-alloc chunk recycling: the free list is bounded by the chunks in flight per epoch, so growth stops after the first epoch
-		g.free = append(g.free, used[:0])
+// Attach makes fn the generator's producer. fn does not start yet: the
+// Readers resume it on demand, and it runs one epoch at a time, parking
+// at each Barrier until a Reader runs dry again. The returned stop
+// function ends the producer — unwinding it at the Barrier where it is
+// parked, if it has not returned — and reports a panic in fn as an
+// error, so one crashing workload kernel surfaces as a failed run instead
+// of killing the whole process. stop may be called more than once.
+func (g *Gen) Attach(fn func(*Gen)) (stop func() error) {
+	var err error
+	next, stopPull := iter.Pull(func(yield func(struct{}) bool) {
+		g.yield = yield
+		defer func() {
+			if p := recover(); p != nil && p != any(unwind{}) {
+				err = fmt.Errorf("trace: workload producer panicked: %v\n%s", p, debug.Stack())
+			}
+		}()
+		fn(g)
+		for c := range g.bufs {
+			g.flush(c)
+		}
+	})
+	g.next = next
+	return func() error {
+		stopPull()
+		g.next = nil
+		return err
 	}
-	for len(s.chunks) == 0 && !s.closed {
-		g.waiting = true
-		g.cond.Broadcast()
-		g.cond.Wait()
-		g.waiting = false
-	}
-	if len(s.chunks) == 0 {
-		return nil, false
-	}
-	c := s.chunks[0]
-	s.chunks[0] = nil
-	s.chunks = s.chunks[1:]
-	return c, true
 }
 
-// drained reports whether the consumer has popped every published chunk.
-// Callers must hold g.mu.
-func (g *Gen) drained() bool {
-	for _, s := range g.streams {
-		if len(s.chunks) > 0 {
-			return false
-		}
+// resume runs the producer until its next Barrier or its return,
+// publishing what it emits. It reports false when there is no producer
+// left to run.
+func (g *Gen) resume() bool {
+	if g.next == nil {
+		return false
+	}
+	if _, more := g.next(); !more {
+		g.next = nil
 	}
 	return true
-}
-
-// handoff publishes all staged chunks to the consumer and, in asynchronous
-// mode, blocks until the consumer has drained them and parked again — the
-// point at which the producer may safely resume mutating workload memory.
-// With closing set it instead closes every stream and returns immediately.
-func (g *Gen) handoff(closing bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for c := range g.pending {
-		if g.aborted {
-			g.pending[c] = nil
-			continue
-		}
-		g.streams[c].chunks = append(g.streams[c].chunks, g.pending[c]...)
-		g.pending[c] = nil
-	}
-	if closing {
-		for _, s := range g.streams {
-			s.closed = true
-		}
-	}
-	g.cond.Broadcast()
-	if closing || !g.async {
-		return
-	}
-	for !g.aborted && !(g.waiting && g.drained()) {
-		g.cond.Wait()
-	}
-}
-
-// Abort permanently unblocks the producer and discards everything it
-// publishes from now on. The simulator calls it when abandoning a run
-// early (error, interrupt, panic): the producer goroutine cannot be
-// killed, so it is let run to completion against a closed sink.
-func (g *Gen) Abort() {
-	g.mu.Lock()
-	g.aborted = true
-	for _, s := range g.streams {
-		s.chunks = nil
-		s.closed = true
-	}
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// newBuf returns an empty chunk buffer, reusing a recycled backing array
-// when one is available.
-func (g *Gen) newBuf() []Instr {
-	g.mu.Lock()
-	if n := len(g.free); n > 0 {
-		b := g.free[n-1]
-		g.free[n-1] = nil
-		g.free = g.free[:n-1]
-		g.mu.Unlock()
-		return b
-	}
-	g.mu.Unlock()
-	return make([]Instr, 0, chunkSize)
 }
 
 func (g *Gen) emit(core int, in Instr) {
 	b := g.bufs[core]
 	if b == nil {
-		b = g.newBuf()
+		if n := len(g.free); n > 0 {
+			b = g.free[n-1]
+			g.free[n-1] = nil
+			g.free = g.free[:n-1]
+		} else {
+			b = make([]Instr, 0, chunkSize)
+		}
 	}
 	b = append(b, in)
-	if len(b) >= chunkSize {
-		g.stage(core, b)
-		b = nil
-	}
 	g.bufs[core] = b
+	if len(b) >= chunkSize {
+		g.flush(core)
+	}
 }
 
-// stage queues a completed chunk for the next handoff. In synchronous mode
-// it publishes immediately instead.
-func (g *Gen) stage(core int, c []Instr) {
-	if g.async {
-		g.pending[core] = append(g.pending[core], c)
-		return
-	}
-	g.mu.Lock()
-	if !g.aborted {
-		g.streams[core].chunks = append(g.streams[core].chunks, c)
-	}
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
+// flush publishes core's partly filled chunk.
 func (g *Gen) flush(core int) {
-	if len(g.bufs[core]) > 0 {
-		g.stage(core, g.bufs[core])
+	if b := g.bufs[core]; len(b) > 0 {
+		r := g.readers[core]
+		r.queue = append(r.queue, b)
 		g.bufs[core] = nil
 	}
 }
@@ -401,58 +319,35 @@ func (g *Gen) SoftPrefetch(core int, pc uint32, addr uint64) {
 	g.emit(core, Instr{Kind: SoftPrefetch, PC: pc, Addr: addr})
 }
 
-// Barrier emits a barrier to every core, publishes the epoch, and — in
-// asynchronous mode — blocks until the consumer has drained it and parked,
-// keeping producer and consumer strictly alternating.
+// Barrier emits a barrier to every core, publishes the epoch, and parks
+// the producer until a Reader asks for the next one. If the consumer has
+// stopped the producer meanwhile, Barrier unwinds it instead of returning.
+// Only a producer running under Attach or Collect may call it.
 func (g *Gen) Barrier() {
-	for c := range g.streams {
+	for c := range g.readers {
 		g.emit(c, Instr{Kind: Barrier})
 		g.flush(c)
 	}
-	g.handoff(false)
-}
-
-// Close publishes remaining buffers and closes all streams. The producer
-// must not emit after Close.
-func (g *Gen) Close() {
-	for c := range g.streams {
-		g.flush(c)
+	if !g.yield(struct{}{}) {
+		panic(unwind{})
 	}
-	g.handoff(true)
 }
 
-// Run starts fn in a producer goroutine and closes the generator when it
-// returns. The returned function waits for the producer to finish and
-// reports a panic in fn as an error, so one crashing workload kernel
-// surfaces as a failed run instead of killing the whole process.
-func (g *Gen) Run(fn func(*Gen)) (wait func() error) {
-	done := make(chan struct{})
-	var err error
-	go func() {
-		defer close(done)
-		defer g.Close()
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("trace: workload producer panicked: %v\n%s", p, debug.Stack())
-			}
-		}()
-		fn(g)
-	}()
-	return func() error { <-done; return err }
-}
-
-// Collect runs fn synchronously with throttling disabled and returns every
-// core's full instruction sequence. Intended for tests and trace dumping.
+// Collect runs fn to completion through the same pull path the simulator
+// uses and returns every core's full instruction sequence. Intended for
+// tests, trace dumping and benchmarks; a panic in fn is re-raised.
 func Collect(ncores int, fn func(*Gen)) [][]Instr {
-	g := NewGen(ncores, 0)
-	fn(g)
-	g.Close()
+	g := NewGen(ncores)
+	stop := g.Attach(fn)
 	out := make([][]Instr, ncores)
-	for c := 0; c < ncores; c++ {
+	for c := range out {
 		r := g.Reader(c)
 		for r.Next() {
 			out[c] = append(out[c], r.In)
 		}
+	}
+	if err := stop(); err != nil {
+		panic(err)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -49,8 +50,8 @@ func TestEmitAndCollect(t *testing.T) {
 
 func TestConcurrentProducerConsumer(t *testing.T) {
 	const n = 100000
-	g := NewGen(1, 8192)
-	wait := g.Run(func(g *Gen) {
+	g := NewGen(1)
+	stop := g.Attach(func(g *Gen) {
 		for i := 0; i < n; i++ {
 			g.Load(0, 1, uint64(i))
 			if i%1000 == 999 {
@@ -73,7 +74,9 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 			barriers++
 		}
 	}
-	wait()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 	if loads != n {
 		t.Fatalf("loads = %d, want %d", loads, n)
 	}
@@ -86,14 +89,14 @@ func TestStrictAlternation(t *testing.T) {
 	// Producer and consumer must never run concurrently. The producer
 	// bumps a deliberately unsynchronized counter after each Barrier
 	// returns; when the consumer reads it at barrier k, the producer is
-	// still parked inside Barrier k's handoff, so the value is exactly
-	// k-1. Any overlap is both a wrong value here and a data race under
-	// -race — the same discipline that lets workload kernels write
-	// memspace arrays the simulator reads.
+	// still parked inside Barrier k, so the value is exactly k-1. Any
+	// overlap is both a wrong value here and a data race under -race —
+	// the same discipline that lets workload kernels write memspace
+	// arrays the simulator reads.
 	const epochs, loads = 50, 50
-	g := NewGen(1, 1)
+	g := NewGen(1)
 	epoch := 0 // plain shared int: the handoff must order all accesses
-	wait := g.Run(func(g *Gen) {
+	stop := g.Attach(func(g *Gen) {
 		for e := 0; e < epochs; e++ {
 			for i := 0; i < loads; i++ {
 				g.Load(0, 1, uint64(i))
@@ -114,7 +117,7 @@ func TestStrictAlternation(t *testing.T) {
 			}
 		}
 	}
-	if err := wait(); err != nil {
+	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
 	if count != epochs*(loads+1) {
@@ -122,41 +125,64 @@ func TestStrictAlternation(t *testing.T) {
 	}
 }
 
-func TestAbortUnblocksProducer(t *testing.T) {
-	// A consumer that abandons the run mid-trace must not strand the
-	// producer in a barrier handoff; after Abort it runs to completion
-	// against a closed sink.
-	g := NewGen(1, 1)
-	finished := false
-	wait := g.Run(func(g *Gen) {
-		for e := 0; e < 100; e++ {
-			for i := 0; i < 10; i++ {
+func TestStopUnwindsProducerAtBarrier(t *testing.T) {
+	// A consumer that abandons the run during epoch k stops the producer
+	// where it is parked: inside Barrier k, which unwinds the kernel
+	// instead of returning. No kernel code after that Barrier runs.
+	const epochs, loads, k = 100, 10, 3
+	g := NewGen(1)
+	passed, unwound := 0, false
+	stop := g.Attach(func(g *Gen) {
+		defer func() { unwound = true }()
+		for e := 0; e < epochs; e++ {
+			for i := 0; i < loads; i++ {
 				g.Load(0, 1, uint64(i))
 			}
 			g.Barrier()
+			passed++
 		}
-		finished = true
+		t.Error("producer ran to completion after stop")
 	})
 	r := g.Reader(0)
-	for i := 0; i < 5; i++ { // consume a few instructions, then walk away
-		r.Next()
+	// Consume k-1 whole epochs and half of epoch k, then walk away.
+	for n := 0; n < (k-1)*(loads+1)+loads/2; n++ {
+		if !r.Next() {
+			t.Fatalf("stream ended after %d instructions", n)
+		}
 	}
-	g.Abort()
-	if err := wait(); err != nil {
+	if passed != k-1 {
+		t.Fatalf("producer passed %d barriers during epoch %d, want %d", passed, k, k-1)
+	}
+	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	if !finished {
-		t.Fatal("producer did not run to completion after Abort")
+	if passed != k-1 || !unwound {
+		t.Fatalf("after stop: passed %d barriers (want %d), unwound %v (want true)", passed, k-1, unwound)
 	}
-	// Draining the leftover chunk terminates instead of hanging: the
-	// aborted streams are closed and publish nothing further.
+	// Draining the leftover chunk terminates instead of resuming the
+	// stopped producer, and stopping twice is harmless.
 	for r.Next() {
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestStopBeforeFirstPullNeverRunsProducer(t *testing.T) {
+	g := NewGen(1)
+	ran := false
+	stop := g.Attach(func(g *Gen) { ran = true })
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if ran || g.Reader(0).Next() {
+		t.Fatalf("stopped producer ran (%v) or published instructions", ran)
 	}
 }
 
 func TestProducerPanicBecomesError(t *testing.T) {
-	g := NewGen(1, 1)
-	wait := g.Run(func(g *Gen) {
+	g := NewGen(1)
+	stop := g.Attach(func(g *Gen) {
 		g.Load(0, 1, 1)
 		g.Barrier()
 		panic("kernel bug")
@@ -164,16 +190,24 @@ func TestProducerPanicBecomesError(t *testing.T) {
 	r := g.Reader(0)
 	for r.Next() {
 	}
-	err := wait()
+	err := stop()
 	if err == nil || !strings.Contains(err.Error(), "kernel bug") {
 		t.Fatalf("producer panic not surfaced: %v", err)
 	}
 }
 
+func TestCollectReraisesProducerPanic(t *testing.T) {
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "kernel bug") {
+			t.Fatalf("Collect recovered %v, want the producer's panic", p)
+		}
+	}()
+	Collect(1, func(g *Gen) { panic("kernel bug") })
+}
+
 func TestReaderExhaustedStaysExhausted(t *testing.T) {
-	g := NewGen(1, 0)
-	g.Load(0, 1, 1)
-	g.Close()
+	g := NewGen(1)
+	g.Attach(func(g *Gen) { g.Load(0, 1, 1) })
 	r := g.Reader(0)
 	if !r.Next() {
 		t.Fatal("expected one instruction")

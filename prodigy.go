@@ -72,9 +72,10 @@ type (
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return memspace.New() }
 
-// NewTraceGen builds a generator for cores instruction streams, keeping at
-// most maxBuffered instructions in flight (0 disables throttling).
-func NewTraceGen(cores, maxBuffered int) *TraceGen { return trace.NewGen(cores, maxBuffered) }
+// NewTraceGen builds a generator for cores instruction streams. RunMachine
+// pulls the producer's instructions from it one barrier-delimited epoch at
+// a time.
+func NewTraceGen(cores int) *TraceGen { return trace.NewGen(cores) }
 
 // The Prodigy prefetcher and its baselines.
 type (
