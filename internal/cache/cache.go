@@ -325,8 +325,6 @@ type Stats struct {
 	DemandL3Hits   uint64
 	DemandMem      uint64
 
-	// LLCMisses counts demand accesses that missed the whole hierarchy
-	// (== DemandMem); kept separately for the Fig. 13/16 classifiers.
 	Writebacks    uint64
 	Invalidations uint64
 

@@ -94,7 +94,7 @@ func TestInterruptCauseBeatsExpiredTimeout(t *testing.T) {
 // consumers (and the farm's byte-identical replay cache) see a stable
 // contract.
 func TestSummaryGoldenSchema(t *testing.T) {
-	completed, err := json.Marshal(summarize(&Run{Label: "x", Scheme: SchemeNone}, runVariant{}))
+	completed, err := json.Marshal(summarize(&Run{Label: "x", Scheme: SchemeNone}, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSummaryGoldenSchema(t *testing.T) {
 	cfg := goldenCfg(1)
 	cfg.JSONLog = &jsonl
 	h := New(cfg)
-	h.emitAbort("x", SchemeNone, runVariant{}, errors.New("boom"), "", sim.Result{}, 0)
+	h.emitAbort("x", SchemeNone, "", errors.New("boom"), "", sim.Result{}, 0)
 	wantAborted := `{"label":"x","scheme":"none","cycles":0,"retired":0,"ipc":0,"cpi_stack":{},"dram_util":0,"wall_ms":0,"abort":"error","error":"boom"}` + "\n"
 	if jsonl.String() != wantAborted {
 		t.Errorf("aborted zero-progress record:\n got %s\nwant %s", jsonl.String(), wantAborted)

@@ -13,25 +13,24 @@ import (
 	"prodigy/internal/tlb"
 )
 
-// This file derives the persistent-result-cache key used by the sweep
-// service (internal/exp/farm, cmd/prodigy-serve): a canonical hash over
-// every configuration input that can influence one grid cell's simulated
-// result. Two harnesses that would assemble byte-identical machines for
-// a cell derive equal keys — defaults are resolved before hashing, so an
-// explicit Cores:8 and the zero-value default hash the same — and any
-// change that could alter simulated cycles or prefetch statistics
-// changes the key, so a cached replay is always byte-identical to a
-// fresh simulation of the same configuration.
+// This file resolves a grid cell into its cellSpec: every input that can
+// influence the cell's simulated result, defaults resolved (an explicit
+// Cores:8 and the zero-value default resolve the same). simulate builds
+// the machine only from the spec, the memo key is its canonical JSON and
+// the sweep service's durable key (internal/exp/farm, cmd/prodigy-serve)
+// that JSON's SHA-256. Cells that would build the same machine share one
+// run and one stored result; any change that could alter simulated cycles
+// or prefetch statistics changes both keys.
 
 // cellKeySchema versions the key derivation. Bump it whenever the
-// simulator's timing model or the key material below changes shape, so
-// stale cached results are never replayed as current ones.
+// simulator's timing model or the spec below changes shape, so stale
+// cached results are never replayed as current ones.
 const cellKeySchema = 2
 
-// cellKeyMaterial is the canonical, JSON-marshalable image of one grid
-// cell's full configuration. Only plain structs appear here (no maps, no
+// cellSpec is the canonical, JSON-marshalable image of one grid cell's
+// full configuration. Only plain structs appear here (no maps, no
 // function values), so the marshaled bytes are deterministic.
-type cellKeyMaterial struct {
+type cellSpec struct {
 	Schema    int            `json:"schema"`
 	Algo      string         `json:"algo"`
 	Dataset   string         `json:"dataset"`
@@ -45,34 +44,35 @@ type cellKeyMaterial struct {
 	DRAM      dram.Config    `json:"dram"`
 	TLB       tlb.Config     `json:"tlb"`
 	Prefetch  prefetchConfig `json:"prefetch"`
+	// The variant-only inputs no resolved configuration above carries:
+	// the hub-sorted dataset (Fig. 18), the prefetch fill level and the
+	// pinned DIG trigger parameters (ablations). They are omitted at
+	// their defaults, so a default cell's JSON and durable key are those
+	// of the schema-2 material that predates them.
+	HubSorted bool `json:"hub_sorted,omitempty"`
+	FillL2    bool `json:"fill_l2,omitempty"`
+	Lookahead int  `json:"lookahead,omitempty"`
+	NumSeqs   int  `json:"num_seqs,omitempty"`
 }
 
-// CellKey returns the canonical persistent-cache key for one
-// default-knob grid cell under this harness configuration: the SHA-256
-// hex digest of the cell's resolved configuration. The sweep service
-// keys its durable result store on it, so restarted servers and repeated
-// CI sweeps recognize already-simulated cells across processes.
-func (h *Harness) CellKey(algo, dataset string, scheme Scheme) (string, error) {
-	m, err := h.cellKeyMaterial(algo, dataset, scheme)
+// spec resolves one cell under variant v. It is the only place the
+// harness resolves the core count, the cache hierarchy, the CPU, DRAM and
+// TLB configurations and the scheme's prefetcher.
+func (h *Harness) spec(algo, dataset string, scheme Scheme, v runVariant) (cellSpec, error) {
+	pf, err := h.schemePrefetch(scheme, v)
 	if err != nil {
-		return "", err
-	}
-	return m.digest()
-}
-
-// cellKeyMaterial resolves the key material of one default-knob cell.
-func (h *Harness) cellKeyMaterial(algo, dataset string, scheme Scheme) (cellKeyMaterial, error) {
-	pf, err := h.schemePrefetch(scheme, runVariant{})
-	if err != nil {
-		return cellKeyMaterial{}, err
+		return cellSpec{}, err
 	}
 	cores := h.Cfg.Cores
+	if v.cores > 0 {
+		cores = v.cores
+	}
 	ccfg := cache.ScaledDefault(cores)
 	if h.Cfg.CacheOverride != nil {
 		ccfg = *h.Cfg.CacheOverride
 		ccfg.Cores = cores
 	}
-	return cellKeyMaterial{
+	return cellSpec{
 		Schema:    cellKeySchema,
 		Algo:      algo,
 		Dataset:   dataset,
@@ -86,16 +86,36 @@ func (h *Harness) cellKeyMaterial(algo, dataset string, scheme Scheme) (cellKeyM
 		DRAM:      dram.Default(),
 		TLB:       tlb.Default(),
 		Prefetch:  pf,
+		HubSorted: v.hubSorted,
+		FillL2:    v.fillL2,
+		Lookahead: v.lookahead,
+		NumSeqs:   v.numSeqs,
 	}, nil
 }
 
-// digest is the SHA-256 hex digest of the material's canonical JSON.
-func (m cellKeyMaterial) digest() (string, error) {
-	b, err := json.Marshal(m)
+// key is the spec's canonical JSON: the memo key of the cell's run and
+// the preimage of its durable CellKey. The spec holds only ints, bools
+// and strings (TestCellKeyCoversEveryMaterialField enforces it), which
+// always marshal.
+func (s cellSpec) key() string {
+	b, err := json.Marshal(s)
 	if err != nil {
-		return "", fmt.Errorf("exp: cell key for %s-%s/%s: %w", m.Algo, m.Dataset, m.Scheme, err)
+		panic(fmt.Sprintf("exp: cell spec for %s-%s/%s: %v", s.Algo, s.Dataset, s.Scheme, err))
 	}
-	sum := sha256.Sum256(b)
+	return string(b)
+}
+
+// CellKey returns the canonical persistent-cache key for one
+// default-knob grid cell under this harness configuration: the SHA-256
+// hex digest of the cell's spec. The sweep service keys its durable
+// result store on it, so restarted servers and repeated CI sweeps
+// recognize already-simulated cells across processes.
+func (h *Harness) CellKey(algo, dataset string, scheme Scheme) (string, error) {
+	s, err := h.spec(algo, dataset, scheme, runVariant{})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256([]byte(s.key()))
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -89,7 +89,7 @@ func TestCellKeyResolvesPrefetcherConfig(t *testing.T) {
 		{SchemeProdigy, prefetchConfig{Prodigy: &core.Config{PFHREntries: 16, MaxRangedLines: 64}}},
 	}
 	for _, c := range cases {
-		m, err := h.cellKeyMaterial("bfs", "lj", c.scheme)
+		m, err := h.spec("bfs", "lj", c.scheme, runVariant{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,13 +99,13 @@ func TestCellKeyResolvesPrefetcherConfig(t *testing.T) {
 	}
 }
 
-// fullMaterial returns key material with every prefetcher configuration
-// set (freshly allocated on each call), so that it carries every field
-// the key can hold.
-func fullMaterial(t *testing.T) cellKeyMaterial {
+// fullSpec returns a cell spec with every prefetcher configuration set
+// (freshly allocated on each call), so that it carries every field the
+// key can hold.
+func fullSpec(t *testing.T) cellSpec {
 	t.Helper()
 	h := New(Config{})
-	m, err := h.cellKeyMaterial("bfs", "lj", SchemeProdigy)
+	m, err := h.spec("bfs", "lj", SchemeProdigy, runVariant{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func keyLeaves(t *testing.T, v reflect.Value, path string) map[string]reflect.Va
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() {
-			t.Fatalf("%s: nil pointer in full key material", path)
+			t.Fatalf("%s: nil pointer in full cell spec", path)
 		}
 		return keyLeaves(t, v.Elem(), path)
 	case reflect.Struct:
@@ -144,31 +144,30 @@ func keyLeaves(t *testing.T, v reflect.Value, path string) map[string]reflect.Va
 	case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64, reflect.Bool, reflect.String:
 		out[path] = v
 	default:
-		t.Fatalf("%s: key material field of kind %s: teach keyLeaves to change it", path, v.Kind())
+		t.Fatalf("%s: cell spec field of kind %s: teach keyLeaves to change it", path, v.Kind())
 	}
 	return out
 }
 
-// TestCellKeyCoversEveryMaterialField changes each scalar field of the key
-// material in turn — machine geometry, latencies, every prefetcher knob
+// TestCellKeyCoversEveryMaterialField changes each scalar field of the
+// cell spec in turn — machine geometry, latencies, every prefetcher knob
 // (Prodigy's MaxRangedLines, DisableRanged and SingleSequence, the A&J
-// form, the baseline prefetchers' tables) — and checks the digest moves.
+// form, the baseline prefetchers' tables), the variant-only inputs — and
+// checks the key (the memo key, and so the durable digest) moves.
 func TestCellKeyCoversEveryMaterialField(t *testing.T) {
-	m0 := fullMaterial(t)
-	base, err := m0.digest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m0 := fullSpec(t)
+	base := m0.key()
 	paths := keyLeaves(t, reflect.ValueOf(&m0).Elem(), "key")
 	for _, want := range []string{"key.Prefetch.Prodigy.MaxRangedLines", "key.Prefetch.Prodigy.DisableRanged",
 		"key.Prefetch.Prodigy.SingleSequence", "key.Prefetch.AJ.PFHREntries", "key.Prefetch.Stride.Degree",
-		"key.Prefetch.GHB.HistorySize", "key.Prefetch.IMP.Distance", "key.Prefetch.Droplet.WindowLines"} {
+		"key.Prefetch.GHB.HistorySize", "key.Prefetch.IMP.Distance", "key.Prefetch.Droplet.WindowLines",
+		"key.HubSorted", "key.FillL2", "key.Lookahead", "key.NumSeqs"} {
 		if _, ok := paths[want]; !ok {
-			t.Fatalf("key material lacks %s", want)
+			t.Fatalf("cell spec lacks %s", want)
 		}
 	}
 	for path := range paths {
-		m := fullMaterial(t)
+		m := fullSpec(t)
 		leaf := keyLeaves(t, reflect.ValueOf(&m).Elem(), "key")[path]
 		switch leaf.Kind() {
 		case reflect.Bool:
@@ -180,8 +179,31 @@ func TestCellKeyCoversEveryMaterialField(t *testing.T) {
 		default:
 			leaf.SetInt(leaf.Int() + 1)
 		}
-		if got, err := m.digest(); err != nil || got == base {
-			t.Errorf("changing %s left the key unchanged (err %v)", path, err)
+		if m.key() == base {
+			t.Errorf("changing %s left the key unchanged", path)
+		}
+	}
+}
+
+// TestCellKeyGolden pins the digests of a few default-knob cells. A
+// durable store written by an earlier build replays only while these hold;
+// a deliberate change to the cell spec must bump cellKeySchema and
+// update them.
+func TestCellKeyGolden(t *testing.T) {
+	cases := []struct {
+		cfg                   Config
+		algo, dataset, scheme string
+		want                  string
+	}{
+		{Config{}, "bfs", "lj", "none", "3a166a194fa02de8e90d16b746287d50583f400325f59482a1402443ea76fcd4"},
+		{Config{}, "bfs", "lj", "prodigy", "cd7b5385eea0be8ed365da46b802107672a25acf389e964a179bb44d584ebcc1"},
+		{Config{}, "pr", "lj", "aj", "3bd3b7708dee3523653d928121f16101f8eb9cc2bb70c8e3b5ead49dfeb7af6b"},
+		{Quick(), "bfs", "po", "prodigy", "c025ed3d8b75a45e5082058dc692a3edf994a4c26d5ec680b49d1a7f2a0756c7"},
+		{Quick(), "spmv", "", "droplet", "e477a37674a9f70c0091271d3bced236e27ad7022fa15996cc1b71a1a6192ea6"},
+	}
+	for _, c := range cases {
+		if got := mustKey(t, New(c.cfg), c.algo, c.dataset, Scheme(c.scheme)); got != c.want {
+			t.Errorf("%s-%s/%s: key %s, want %s", c.algo, c.dataset, c.scheme, got, c.want)
 		}
 	}
 }

@@ -20,13 +20,11 @@ import (
 	"prodigy/internal/core"
 	"prodigy/internal/cpu"
 	"prodigy/internal/dig"
-	"prodigy/internal/dram"
 	"prodigy/internal/energy"
 	"prodigy/internal/graph"
 	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
 	"prodigy/internal/sim"
-	"prodigy/internal/tlb"
 	"prodigy/internal/trace"
 	"prodigy/internal/workloads"
 )
@@ -151,9 +149,9 @@ type Run struct {
 	Scheme Scheme
 	Res    sim.Result
 	W      *workloads.Workload
-	// MissesInDIG / MissesTotal classify LLC misses against the DIG
-	// ranges (Fig. 13/16).
-	MissesInDIG, MissesTotal uint64
+	// MissesInDIG counts the LLC misses (Res.Cache.DemandMem) that fall
+	// inside the DIG ranges (Fig. 13).
+	MissesInDIG uint64
 	// Wall is the host wall-clock time the simulation took (progress and
 	// JSON reporting; it has no bearing on simulated results).
 	Wall time.Duration
@@ -302,35 +300,17 @@ func (h *Harness) RunOne(algo, dataset string, scheme Scheme) (*Run, error) {
 	return h.run(algo, dataset, scheme, runVariant{})
 }
 
-func (h *Harness) key(algo, dataset string, scheme Scheme, v runVariant) string {
-	return fmt.Sprintf("%s|%s|%s|%+v", algo, dataset, scheme, v)
-}
-
-// canonVariant rewrites variant knobs that merely restate the harness
-// defaults to their zero values, so e.g. Fig. 12's pfhr=16 sweep point
-// and the default Prodigy configuration share one memoized simulation
-// (they build byte-identical machines).
-func (h *Harness) canonVariant(v runVariant) runVariant {
-	pfhrDefault := h.Cfg.PFHREntries
-	if pfhrDefault == 0 {
-		pfhrDefault = core.DefaultConfig().PFHREntries
-	}
-	if v.pfhr == pfhrDefault {
-		v.pfhr = 0
-	}
-	if v.cores == h.Cfg.Cores {
-		v.cores = 0
-	}
-	return v
-}
-
 // run returns the memoized result for one grid cell, simulating it on
-// first request. It is safe for concurrent use: concurrent requests for
-// the same cell share a single simulation, and a panicking simulation is
-// converted into a tagged error instead of killing the sweep.
+// first request; cells with equal specs are one cell. It is safe for
+// concurrent use: concurrent requests for the same cell share a single
+// simulation, and a panicking simulation is converted into a tagged error
+// instead of killing the sweep.
 func (h *Harness) run(algo, dataset string, scheme Scheme, v runVariant) (*Run, error) {
-	v = h.canonVariant(v)
-	key := h.key(algo, dataset, scheme, v)
+	s, err := h.spec(algo, dataset, scheme, v)
+	if err != nil {
+		return nil, err
+	}
+	key := s.key()
 	h.mu.Lock()
 	e, ok := h.cache[key]
 	if !ok {
@@ -344,56 +324,56 @@ func (h *Harness) run(algo, dataset string, scheme Scheme, v runVariant) (*Run, 
 			if p := recover(); p != nil {
 				e.run = nil
 				e.err = fmt.Errorf("exp: %s/%s/%s: panic: %v\n%s",
-					algo, dataset, scheme, p, debug.Stack())
+					s.Algo, s.Dataset, s.Scheme, p, debug.Stack())
 			}
 		}()
-		e.run, e.err = h.simulate(algo, dataset, scheme, v)
+		e.run, e.err = h.simulate(s, h.variantLabel(s, v))
 	})
 	return e.run, e.err
 }
 
-// simulate executes one grid cell (no memoization; called once per cell
-// through run's singleflight entry).
-func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*Run, error) {
-	start := time.Now() //lint:allow determinism Run.Wall reports host time; simulated cycles never read it
-	cores := h.Cfg.Cores
-	if v.cores > 0 {
-		cores = v.cores
+// variantLabel is the JSONL variant label of a cell requested with knobs
+// v: empty when its spec is the default-knob spec of the same cell, the
+// requested knobs otherwise.
+func (h *Harness) variantLabel(s cellSpec, v runVariant) string {
+	if v == (runVariant{}) {
+		return ""
 	}
+	if d, err := h.spec(s.Algo, s.Dataset, Scheme(s.Scheme), runVariant{}); err == nil && d.key() == s.key() {
+		return ""
+	}
+	return fmt.Sprintf("%+v", v)
+}
+
+// simulate executes one grid cell, building its workload and machine only
+// from its spec (no memoization; called once per cell through run's
+// singleflight entry). variant is the cell's JSONL variant label.
+func (h *Harness) simulate(s cellSpec, variant string) (*Run, error) {
+	start := time.Now() //lint:allow determinism Run.Wall reports host time; simulated cycles never read it
+	scheme := Scheme(s.Scheme)
 	opts := workloads.Options{
-		Scale:            h.Cfg.Scale,
-		HubSorted:        v.hubSorted,
+		Scale:            s.Scale,
+		HubSorted:        s.HubSorted,
 		SoftwarePrefetch: scheme == SchemeSoftware,
 	}
-	w, err := workloads.Build(algo, dataset, cores, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	pf, err := h.schemePrefetch(scheme, v)
+	w, err := workloads.Build(s.Algo, s.Dataset, s.Cores, opts)
 	if err != nil {
 		return nil, err
 	}
 	d := w.DIG
-	if v.lookahead > 0 || v.numSeqs > 0 {
-		d = overrideTrigger(d, v.lookahead, v.numSeqs)
-	}
-
-	ccfg := cache.ScaledDefault(cores)
-	if h.Cfg.CacheOverride != nil {
-		ccfg = *h.Cfg.CacheOverride
-		ccfg.Cores = cores
+	if s.Lookahead > 0 || s.NumSeqs > 0 {
+		d = overrideTrigger(d, s.Lookahead, s.NumSeqs)
 	}
 	scfg := sim.Config{
-		Cores:          cores,
-		CPU:            cpu.DefaultConfig(),
-		Cache:          ccfg,
-		DRAM:           dram.Default(),
-		TLB:            tlb.Default(),
-		Prefetcher:     pf.factory(d),
-		PrefetchFillL2: v.fillL2,
-		PrefetchMSHRs:  h.mshrOverride,
-		MaxCycles:      h.Cfg.MaxCycles,
+		Cores:          s.Cores,
+		CPU:            s.CPU,
+		Cache:          s.Cache,
+		DRAM:           s.DRAM,
+		TLB:            s.TLB,
+		Prefetcher:     s.Prefetch.factory(d),
+		PrefetchFillL2: s.FillL2,
+		PrefetchMSHRs:  s.MSHRs,
+		MaxCycles:      s.MaxCycles,
 	}
 	// Interrupt sources are cause-tagged: whichever source trips first
 	// records why the run died, so the abort JSONL distinguishes a
@@ -437,7 +417,6 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 	}
 	run := &Run{Label: w.Label(), Scheme: scheme, W: w}
 	scfg.MissHook = func(addr uint64) {
-		run.MissesTotal++
 		if w.DIG.Covers(addr) {
 			run.MissesInDIG++
 		}
@@ -467,12 +446,12 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		}
 	}
 
-	res, err := sim.Run(scfg, w.Space, trace.NewGen(cores), w.Run)
+	res, err := sim.Run(scfg, w.Space, trace.NewGen(s.Cores), w.Run)
 	cerr := errors.Join(closeObs(), closeLedger())
 	if err != nil {
 		err = fmt.Errorf("exp: %s/%s: %w", w.Label(), scheme, err)
 		//lint:allow determinism aborted-run wall time feeds the JSONL record, not results
-		h.emitAbort(w.Label(), scheme, v, err, interruptCause, res, time.Since(start))
+		h.emitAbort(w.Label(), scheme, variant, err, interruptCause, res, time.Since(start))
 		return nil, err
 	}
 	if cerr != nil {
@@ -490,7 +469,7 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		// arrays so the memo cache retains only the statistics.
 		run.W = nil
 	}
-	h.emitJSON(run, v)
+	h.writeJSON(summarize(run, variant))
 	return run, nil
 }
 

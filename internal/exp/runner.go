@@ -46,18 +46,20 @@ type jobList struct {
 	seen map[string]bool
 }
 
-// add appends one cell, dropping duplicates (figures frequently share
-// baseline cells).
+// add appends one cell, dropping cells that build the same machine as
+// one already listed (figures frequently share baseline cells). A cell
+// that fails to resolve is kept, so that run reports its error.
 func (l *jobList) add(h *Harness, algo, dataset string, scheme Scheme, v runVariant) {
 	if l.seen == nil {
 		l.seen = map[string]bool{}
 	}
-	v = h.canonVariant(v)
-	key := h.key(algo, dataset, scheme, v)
-	if l.seen[key] {
-		return
+	if s, err := h.spec(algo, dataset, scheme, v); err == nil {
+		key := s.key()
+		if l.seen[key] {
+			return
+		}
+		l.seen[key] = true
 	}
-	l.seen[key] = true
 	l.jobs = append(l.jobs, runJob{algo, dataset, scheme, v})
 }
 
@@ -203,8 +205,9 @@ type RunSummary struct {
 	// prefetching configuration.
 	Label  string `json:"label"`
 	Scheme string `json:"scheme"`
-	// Variant carries non-default machine knobs (ablations); omitted for
-	// default-knob runs.
+	// Variant carries the requested machine knobs of an ablation or sweep
+	// cell; omitted when the cell builds its default-knob machine (e.g. a
+	// knob that restates the harness default).
 	Variant string `json:"variant,omitempty"`
 	// Cycles, Retired, and IPC summarize simulated performance.
 	Cycles  int64   `json:"cycles"`
@@ -309,10 +312,11 @@ func abortKind(err error, cause string) string {
 }
 
 // summarize builds the JSON record for a completed run.
-func summarize(r *Run, v runVariant) RunSummary {
+func summarize(r *Run, variant string) RunSummary {
 	s := RunSummary{
 		Label:           r.Label,
 		Scheme:          string(r.Scheme),
+		Variant:         variant,
 		Cycles:          r.Res.Cycles,
 		Retired:         r.Res.Agg.Retired,
 		IPC:             r.Res.IPC(),
@@ -320,9 +324,6 @@ func summarize(r *Run, v runVariant) RunSummary {
 		WallMS:          float64(r.Wall.Microseconds()) / 1e3,
 		CPIStack:        map[string]float64{},
 		PF:              pfSummaryOf(r.Res),
-	}
-	if v != (runVariant{}) {
-		s.Variant = fmt.Sprintf("%+v", v)
 	}
 	if total := float64(r.Res.Agg.Total()); total > 0 {
 		for _, k := range cpu.StallKinds {
@@ -332,21 +333,17 @@ func summarize(r *Run, v runVariant) RunSummary {
 	return s
 }
 
-// emitJSON writes the run's summary line to Config.JSONLog, if set.
-func (h *Harness) emitJSON(r *Run, v runVariant) {
-	h.writeJSON(summarize(r, v))
-}
-
 // emitAbort logs a failed run to Config.JSONLog so a sweep record shows
 // which cells died and why, not just which completed. res carries the
 // partial statistics the simulator collected up to the abort point
 // (zero-valued when the machine never ran, e.g. a config error); cause
 // is the interrupt cause recorded by simulate, empty for non-interrupt
 // aborts.
-func (h *Harness) emitAbort(label string, scheme Scheme, v runVariant, runErr error, cause string, res sim.Result, wall time.Duration) {
+func (h *Harness) emitAbort(label string, scheme Scheme, variant string, runErr error, cause string, res sim.Result, wall time.Duration) {
 	s := RunSummary{
 		Label:           label,
 		Scheme:          string(scheme),
+		Variant:         variant,
 		Cycles:          res.Cycles,
 		Retired:         res.Agg.Retired,
 		IPC:             res.IPC(),
@@ -367,9 +364,6 @@ func (h *Harness) emitAbort(label string, scheme Scheme, v runVariant, runErr er
 		for _, k := range cpu.StallKinds {
 			s.CPIStack[k.String()] = float64(res.Agg.Cycles[k]) / total
 		}
-	}
-	if v != (runVariant{}) {
-		s.Variant = fmt.Sprintf("%+v", v)
 	}
 	h.writeJSON(s)
 }

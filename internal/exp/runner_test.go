@@ -281,18 +281,93 @@ func TestProgressAndJSONReporting(t *testing.T) {
 	}
 }
 
-// TestWarmDedupesJobs checks the job list drops duplicate cells so the
-// meter's total reflects unique simulations.
+// TestWarmDedupesJobs checks the job list drops duplicate cells, including
+// a variant that restates the default, so the meter's total reflects
+// unique simulations.
 func TestWarmDedupesJobs(t *testing.T) {
 	h := New(goldenCfg(1))
 	var l jobList
 	l.add(h, "bfs", "po", SchemeNone, runVariant{})
 	l.add(h, "bfs", "po", SchemeNone, runVariant{})
 	l.add(h, "bfs", "po", SchemeProdigy, runVariant{})
+	l.add(h, "bfs", "po", SchemeProdigy, runVariant{pfhr: 16})
 	if len(l.jobs) != 2 {
 		t.Fatalf("jobs = %d, want 2 after dedup", len(l.jobs))
 	}
 	if err := h.warm(l); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVariantIdentityRule pins which variant cells share a simulation: a
+// variant that only restates a default (Fig. 12's 16-entry PFHR point,
+// the scalability sweep's configured core count) builds the default
+// cell's machine, so it returns the default cell's run and logs nothing
+// of its own; a variant that changes the machine gets its own run,
+// logged once with the requested knobs as its variant label.
+func TestVariantIdentityRule(t *testing.T) {
+	var jsonl bytes.Buffer
+	cfg := goldenCfg(1)
+	cfg.JSONLog = &jsonl
+	h := New(cfg)
+	lines := func() []RunSummary {
+		t.Helper()
+		var out []RunSummary
+		for _, l := range strings.Split(strings.TrimSpace(jsonl.String()), "\n") {
+			if l == "" {
+				continue
+			}
+			var s RunSummary
+			if err := json.Unmarshal([]byte(l), &s); err != nil {
+				t.Fatalf("bad JSON line %q: %v", l, err)
+			}
+			out = append(out, s)
+		}
+		jsonl.Reset()
+		return out
+	}
+
+	// The restatement comes first, so it is the request that simulates.
+	var base *Run
+	for _, v := range []runVariant{{pfhr: 16}, {}, {cores: h.Cfg.Cores}} {
+		r, err := h.run("bfs", "po", SchemeProdigy, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == nil {
+			base = r
+		}
+		if r != base {
+			t.Errorf("%+v: got its own run, want the default cell's", v)
+		}
+	}
+	if got := lines(); len(got) != 1 || got[0].Variant != "" {
+		t.Fatalf("default cell and its restatements logged %+v, want one line without a variant", got)
+	}
+
+	const rest = " numSeqs:0 noRanged:false singleSeq:false fillL2:false cores:0}"
+	for _, c := range []struct {
+		v     runVariant
+		label string
+	}{
+		{runVariant{pfhr: 8}, "{pfhr:8 hubSorted:false lookahead:0" + rest},
+		{runVariant{lookahead: 4}, "{pfhr:0 hubSorted:false lookahead:4" + rest},
+		{runVariant{fillL2: true}, "{pfhr:0 hubSorted:false lookahead:0 numSeqs:0 noRanged:false singleSeq:false fillL2:true cores:0}"},
+		{runVariant{hubSorted: true}, "{pfhr:0 hubSorted:true lookahead:0" + rest},
+	} {
+		r, err := h.run("bfs", "po", SchemeProdigy, c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == base {
+			t.Errorf("%+v: shares the default cell's run", c.v)
+		}
+		if again, _ := h.run("bfs", "po", SchemeProdigy, c.v); again != r {
+			t.Errorf("%+v: a repeated request simulated again", c.v)
+		}
+		got := lines()
+		if len(got) != 1 || got[0].Variant != c.label {
+			t.Errorf("%+v: logged %+v, want one line with variant %q", c.v, got, c.label)
+		}
 	}
 }

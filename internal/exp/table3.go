@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"prodigy/internal/cache"
 	"prodigy/internal/graph"
 	"prodigy/internal/stats"
 )
@@ -163,11 +162,11 @@ func (h *Harness) Table2() (*Table2Result, error) {
 		"po": "pokec", "lj": "livejournal", "or": "orkut",
 		"sk": "sk-2005", "wb": "webbase-2001",
 	}
-	ccfg := cache.ScaledDefault(h.Cfg.Cores)
-	if h.Cfg.CacheOverride != nil {
-		ccfg = *h.Cfg.CacheOverride
+	s, err := h.spec("", "", SchemeNone, runVariant{})
+	if err != nil {
+		return nil, err
 	}
-	out := &Table2Result{LLCBytes: ccfg.L3Size}
+	out := &Table2Result{LLCBytes: s.Cache.L3Size}
 	for _, name := range h.Cfg.Datasets {
 		g := graph.Load(name, h.Cfg.Scale)
 		sz := float64(g.SizeBytes())
@@ -175,7 +174,7 @@ func (h *Harness) Table2() (*Table2Result, error) {
 			Name: name, FullName: full[name],
 			Vertices: g.NumNodes, Edges: g.NumEdges(),
 			SizeMB:      sz / (1 << 20),
-			SizeOverLLC: sz / float64(ccfg.L3Size),
+			SizeOverLLC: sz / float64(s.Cache.L3Size),
 		})
 	}
 	return out, nil
