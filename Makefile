@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json fmt test race bench bench-json quick-gate stat-smoke memlat-smoke serve-smoke tables trace-demo
+.PHONY: check build vet lint lint-json fmt test race bench bench-json quick-gate stat-smoke memlat-smoke obs-smoke serve-smoke tables trace-demo
 
-check: build vet lint race stat-smoke memlat-smoke serve-smoke quick-gate
+check: build vet lint race stat-smoke memlat-smoke obs-smoke serve-smoke quick-gate
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,19 @@ memlat-smoke:
 	@$(GO) run ./cmd/prodigy-stat hist -assert memlat-smoke.jsonl > /dev/null
 	@rm -f memlat-smoke.jsonl
 	@echo "memlat-smoke: ok (all plateaus on the configured latencies)"
+
+# Observability CLI smoke (part of `make check`): one 2-core Prodigy run
+# with every per-run recorder output on — Chrome trace, interval metrics
+# and prefetch ledger — into a temporary directory; prodigy-stat must
+# render the metrics and the ledger must be non-empty
+# (docs/OBSERVABILITY.md).
+obs-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/prodigy-sim -tiny -algo bfs -dataset po -scheme prodigy -cores 2 \
+		-trace $$dir/trace.json -metrics $$dir/metrics.jsonl -pf-ledger $$dir/ledger.jsonl > /dev/null && \
+	$(GO) run ./cmd/prodigy-stat show $$dir/metrics.jsonl > /dev/null && \
+	if [ ! -s $$dir/ledger.jsonl ]; then echo "obs-smoke: empty prefetch ledger"; exit 1; fi && \
+	echo "obs-smoke: ok (trace, metrics and ledger written; prodigy-stat show renders the metrics)"
 
 # Regenerate every paper table/figure at paper scale (slow).
 tables:

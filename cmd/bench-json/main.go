@@ -77,8 +77,8 @@ type Doc struct {
 // gated lists the benchmarks whose allocs/op may never grow past the
 // committed baseline: the demand hot path and the prefetch-fill path,
 // both carrying the always-on lifecycle telemetry, plus the latency-
-// histogram record path that sits behind sim.Config.LatencyHook during
-// memlat calibration runs.
+// histogram record path that sits behind the recorder's demand-latency
+// sink (obs.Options.Latency) during memlat calibration runs.
 var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkFillPrefetch", "BenchmarkHistogramRecord"}
 
 // qualityCells is the quick sweep measured for the quality gate.

@@ -22,7 +22,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -103,16 +102,12 @@ func main() {
 	}
 
 	single := len(cells) == 1
-	if *tracePath != "" || *metricsPath != "" {
+	if *tracePath != "" || *metricsPath != "" || *ledgerPath != "" {
 		itv := *interval
 		cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
 			return obs.OpenFiles(obs.CellPath(*tracePath, cell, single),
-				obs.CellPath(*metricsPath, cell, single), itv)
-		}
-	}
-	if *ledgerPath != "" {
-		cfg.Ledger = func(cell string) (func(sim.PFLineEvent), func() error, error) {
-			return openLedger(obs.CellPath(*ledgerPath, cell, single))
+				obs.CellPath(*metricsPath, cell, single),
+				obs.CellPath(*ledgerPath, cell, single), itv)
 		}
 	}
 	h := exp.New(cfg)
@@ -189,26 +184,6 @@ func runMemlat(outPath string) int {
 		return 1
 	}
 	return 0
-}
-
-// openLedger builds a JSONL sink for the per-line prefetch ledger: one
-// object per prefetched line with its issue/fill cycles and outcome bits.
-func openLedger(path string) (func(sim.PFLineEvent), func() error, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	enc := json.NewEncoder(w)
-	hook := func(ev sim.PFLineEvent) { _ = enc.Encode(ev) }
-	closer := func() error {
-		ferr := w.Flush()
-		if cerr := f.Close(); ferr == nil {
-			ferr = cerr
-		}
-		return ferr
-	}
-	return hook, closer, nil
 }
 
 // report prints the full human-readable statistics for one run.

@@ -1,11 +1,6 @@
 package cache
 
-import (
-	"io"
-	"testing"
-
-	"prodigy/internal/obs"
-)
+import "testing"
 
 // BenchmarkHierarchyAccess drives the demand path with a mix of L1 hits,
 // write upgrades, and streaming misses that evict through all three
@@ -48,34 +43,5 @@ func BenchmarkFillPrefetch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.FillPrefetch(0, uint64(i)*line, LvlMem)
-	}
-}
-
-// BenchmarkHierarchyAccessObs is BenchmarkHierarchyAccess with a metrics
-// recorder attached: the counter adds go through the interval buckets, so
-// this measures the enabled-instrumentation overhead on the same mix.
-func BenchmarkHierarchyAccessObs(b *testing.B) {
-	h, err := New(ScaledDefault(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := obs.New(obs.Options{Metrics: io.Discard})
-	r.Start(1, nil, nil)
-	h.Attach(r)
-	line := uint64(h.Config().LineSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := uint64(i)
-		switch i & 3 {
-		case 0:
-			h.Access(0, (n%64)*line, false)
-		case 1:
-			h.Access(0, (n%64)*line, true)
-		case 2:
-			h.Access(0, 1<<24+n*line, false)
-		default:
-			h.Access(0, 2<<24+n*line, true)
-		}
 	}
 }

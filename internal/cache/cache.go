@@ -8,11 +8,7 @@
 // internal/memspace); the hierarchy tracks tags, states, and timing.
 package cache
 
-import (
-	"fmt"
-
-	"prodigy/internal/obs"
-)
+import "fmt"
 
 // MESI line states.
 const (
@@ -372,40 +368,6 @@ type Hierarchy struct {
 	// OnL3Evict, when set, is called with the evicted line address
 	// (used by DROPLET-style prefetchers that watch DRAM traffic).
 	OnL3Evict func(lineAddr uint64)
-
-	// Interval-metrics hooks (inert when obs is nil).
-	obs          *obs.Recorder
-	obsAccess    obs.CounterID
-	obsL1Hit     obs.CounterID
-	obsL2Hit     obs.CounterID
-	obsL3Hit     obs.CounterID
-	obsMem       obs.CounterID
-	obsPFFill    obs.CounterID
-	obsWriteBk   obs.CounterID
-	obsPFTimely  obs.CounterID
-	obsPFEvicted obs.CounterID
-}
-
-// Attach registers the hierarchy's observability counters: demand
-// accesses and per-level hits (from which per-interval L1/L2/LLC miss
-// rates follow), hierarchy misses, prefetch fills, and writebacks. Safe
-// to call with a nil recorder.
-func (h *Hierarchy) Attach(r *obs.Recorder) {
-	if r == nil {
-		return
-	}
-	h.obs = r
-	h.obsAccess = r.Counter("cache.demand")
-	h.obsL1Hit = r.Counter("cache.l1_hit")
-	h.obsL2Hit = r.Counter("cache.l2_hit")
-	h.obsL3Hit = r.Counter("cache.l3_hit")
-	h.obsMem = r.Counter("cache.mem")
-	h.obsPFFill = r.Counter("cache.pf_fill")
-	h.obsWriteBk = r.Counter("cache.writeback")
-	// Lifecycle counters double as trace counter tracks so prefetch
-	// quality is visible over time in the timeline viewer.
-	h.obsPFTimely = r.TrackCounter("cache.pf_timely")
-	h.obsPFEvicted = r.TrackCounter("cache.pf_evicted_unused")
 }
 
 // New builds a hierarchy from cfg, rejecting geometries Validate refuses.
@@ -457,7 +419,6 @@ type Result struct {
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	la := h.LineAddr(addr)
 	h.Stats.DemandAccesses++
-	h.obs.Add(h.obsAccess, 1)
 
 	// L1.
 	l1 := h.l1[core]
@@ -473,7 +434,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		}
 		ln.used = true
 		h.Stats.DemandL1Hits++
-		h.obs.Add(h.obsL1Hit, 1)
 		if write && ln.state != stModified {
 			h.upgrade(core, la)
 		}
@@ -496,7 +456,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		st := ln.state
 		h.fillL1(core, la, st, ln.prefetched, true, ln.pfTag)
 		h.Stats.DemandL2Hits++
-		h.obs.Add(h.obsL2Hit, 1)
 		if write && st != stModified {
 			h.upgrade(core, la)
 		}
@@ -524,14 +483,12 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		// is still valid.
 		*sh |= 1 << uint(core)
 		h.Stats.DemandL3Hits++
-		h.obs.Add(h.obsL3Hit, 1)
 		return res
 	}
 
 	// DRAM.
 	h.Stats.DemandMem++
 	h.Life[core].DemandMisses++
-	h.obs.Add(h.obsMem, 1)
 	state := uint8(stExclusive)
 	if write {
 		state = stModified
@@ -551,7 +508,6 @@ func (h *Hierarchy) lifeTimely(tag uint8) {
 			h.Life[c].TimelyMem++
 		}
 	}
-	h.obs.Add(h.obsPFTimely, 1)
 }
 
 // serviceFromL3 handles coherence when core reads/writes a line present in
@@ -566,11 +522,9 @@ func (h *Hierarchy) serviceFromL3(core int, la uint64, sh *uint64, write bool) u
 			}
 			if st, ok := h.l1[c].invalidate(la); ok && st == stModified {
 				h.Stats.Writebacks++
-				h.obs.Add(h.obsWriteBk, 1)
 			}
 			if st, ok := h.l2[c].invalidate(la); ok && st == stModified {
 				h.Stats.Writebacks++
-				h.obs.Add(h.obsWriteBk, 1)
 			}
 			h.Stats.Invalidations++
 		}
@@ -587,11 +541,9 @@ func (h *Hierarchy) serviceFromL3(core int, la uint64, sh *uint64, write bool) u
 		}
 		if h.l1[c].downgrade(la) {
 			h.Stats.Writebacks++
-			h.obs.Add(h.obsWriteBk, 1)
 		}
 		if h.l2[c].downgrade(la) {
 			h.Stats.Writebacks++
-			h.obs.Add(h.obsWriteBk, 1)
 		}
 	}
 	return stShared
@@ -669,7 +621,6 @@ func (h *Hierarchy) fillL2(core int, la uint64, state uint8, prefetched, used bo
 				// Inclusion should make this unreachable; account the
 				// writeback directly rather than lose it.
 				h.Stats.Writebacks++
-				h.obs.Add(h.obsWriteBk, 1)
 			}
 		}
 	}
@@ -715,14 +666,12 @@ func (h *Hierarchy) evictL3(victimAddr uint64, i int) {
 	}
 	if dirty {
 		h.Stats.Writebacks++
-		h.obs.Add(h.obsWriteBk, 1)
 	}
 	if ln.prefetched && !ln.used {
 		h.Stats.PrefetchEvicted++
 		if c := int(ln.pfTag & pfCoreMask); c < len(h.Life) {
 			h.Life[c].EvictedUnused++
 		}
-		h.obs.Add(h.obsPFEvicted, 1)
 	}
 	if h.OnL3Evict != nil {
 		h.OnL3Evict(victimAddr)
@@ -772,7 +721,6 @@ func (h *Hierarchy) FillPrefetchL2(core int, addr uint64, fromLevel Level) {
 func (h *Hierarchy) fillPrefetchAt(core int, addr uint64, fromLevel Level, l2Only bool) {
 	la := h.LineAddr(addr)
 	h.Stats.PrefetchFills++
-	h.obs.Add(h.obsPFFill, 1)
 	pfTag := uint8(core) & pfCoreMask
 	if fromLevel == LvlMem {
 		pfTag |= pfMemBit

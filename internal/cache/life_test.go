@@ -1,11 +1,6 @@
 package cache
 
-import (
-	"io"
-	"testing"
-
-	"prodigy/internal/obs"
-)
+import "testing"
 
 // TestLifeAttributionPerCore pins the cross-core attribution rule: a fill
 // and its eventual outcome belong to the core that *issued* the prefetch
@@ -91,28 +86,19 @@ func TestLifeLevelFillsNotMem(t *testing.T) {
 
 // TestTelemetryAllocFree pins the telemetry contract directly in the test
 // suite (the bench-json gate covers the same property out-of-process):
-// demand and fill paths allocate nothing, with and without a recorder.
+// demand and fill paths, with their always-on lifecycle counters,
+// allocate nothing.
 func TestTelemetryAllocFree(t *testing.T) {
-	run := func(h *Hierarchy) float64 {
-		i := 0
-		return testing.AllocsPerRun(2000, func() {
-			n := uint64(i)
-			i++
-			h.Access(0, (n%64)*64, false)
-			h.FillPrefetch(0, 1<<24+n*64, LvlMem)
-			h.Access(0, 1<<24+n*64, false) // timely-outcome path
-		})
-	}
-	if allocs := run(mustNew(t, tinyConfig(1))); allocs != 0 {
-		t.Errorf("default path: %.1f allocs/op, want 0", allocs)
-	}
 	h := mustNew(t, tinyConfig(1))
-	r := obs.New(obs.Options{Metrics: io.Discard})
-	r.Start(1, nil, nil)
-	h.Attach(r)
-	// Warm the recorder's interval bucket (one-time allocation).
-	h.Access(0, 1<<30, false)
-	if allocs := run(h); allocs != 0 {
-		t.Errorf("recorder attached: %.1f allocs/op, want 0", allocs)
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		n := uint64(i)
+		i++
+		h.Access(0, (n%64)*64, false)
+		h.FillPrefetch(0, 1<<24+n*64, LvlMem)
+		h.Access(0, 1<<24+n*64, false) // timely-outcome path
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocs/op, want 0", allocs)
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"prodigy/internal/cache"
 	"prodigy/internal/dig"
-	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
 )
 
@@ -147,11 +146,6 @@ type Prodigy struct {
 	internalDrops uint64
 	// Stats is exported for the experiment harness.
 	Stats Stats
-
-	// Interval-metrics counter IDs (inert when env.Obs is nil).
-	obsSeqStarted obs.CounterID
-	obsSeqDropped obs.CounterID
-	obsPFHRFull   obs.CounterID
 }
 
 // New returns a prefetch.Factory that programs each core's Prodigy
@@ -217,11 +211,11 @@ func NewPrefetcher(env prefetch.Env, d *dig.DIG, cfg Config) *Prodigy {
 		p.trigByID[id] = ts
 	}
 	// PFHR occupancy and sequence counters for the interval metrics.
-	// Counters are shared across cores (deduped by name); the occupancy
-	// gauge is per core.
-	p.obsSeqStarted = env.Obs.Counter("prodigy.seq_started")
-	p.obsSeqDropped = env.Obs.Counter("prodigy.seq_dropped")
-	p.obsPFHRFull = env.Obs.Counter("prodigy.pfhr_full")
+	// Counters are summed across cores (one source per core under each
+	// name); the occupancy gauge is per core.
+	env.Obs.Counter("prodigy.seq_started", &p.Stats.SeqStarted)
+	env.Obs.Counter("prodigy.seq_dropped", &p.Stats.SeqDropped)
+	env.Obs.Counter("prodigy.pfhr_full", &p.Stats.PFHRFull)
 	env.Obs.GaugeFunc("prodigy.pfhr_free.c"+strconv.Itoa(env.Core),
 		func(int64) float64 { return float64(p.FreePFHRs()) })
 	return p
@@ -378,7 +372,6 @@ func (p *Prodigy) rangedOnly() bool { return p.oneStep }
 // trigger node: the first request fetches the trigger data itself.
 func (p *Prodigy) startSequence(n *dig.Node, seqIdx uint64) {
 	p.Stats.SeqStarted++
-	p.env.Obs.Add(p.obsSeqStarted, 1)
 	p.env.Obs.Instant(p.env.Core, "seq-start", "prodigy")
 	elemAddr := n.ElemAddr(seqIdx)
 	p.Stats.IssuedTrigger++
@@ -408,7 +401,6 @@ func (p *Prodigy) dropSequence(trigAddr uint64) {
 	}
 	if dropped {
 		p.Stats.SeqDropped++
-		p.env.Obs.Add(p.obsSeqDropped, 1)
 		p.env.Obs.Instant(p.env.Core, "seq-drop", "prodigy")
 	}
 }
@@ -510,7 +502,6 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 	if idx < 0 {
 		p.Stats.PFHRFull++
 		p.internalDrops++
-		p.env.Obs.Add(p.obsPFHRFull, 1)
 		return
 	}
 	r := &p.regs[idx]
@@ -526,7 +517,6 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 		r.free = true
 		r.gen++
 		p.Stats.PFHRFull++
-		p.env.Obs.Add(p.obsPFHRFull, 1)
 	}
 }
 

@@ -14,6 +14,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"prodigy/internal/cache"
 	"prodigy/internal/obs"
 	"prodigy/internal/trace"
@@ -90,6 +92,23 @@ type Config struct {
 // DefaultConfig returns the Table I core: 4-wide, 128-entry ROB.
 func DefaultConfig() Config {
 	return Config{Width: 4, ROBSize: 128, FPLat: 4, AtomicExtraLat: 8, MispredictPenalty: 12, BPBits: 10}
+}
+
+// Validate reports whether cfg describes a core that can make progress.
+// A zero dispatch width or ROB never retires an instruction, so the run
+// would step every cycle until its MaxCycles guard; a bad sweep point
+// surfaces here as an error from sim.NewMachine instead.
+func (cfg Config) Validate() error {
+	if cfg.Width <= 0 {
+		return fmt.Errorf("cpu: Width = %d, want > 0", cfg.Width)
+	}
+	if cfg.ROBSize <= 0 {
+		return fmt.Errorf("cpu: ROBSize = %d, want > 0", cfg.ROBSize)
+	}
+	if cfg.BPBits < 0 {
+		return fmt.Errorf("cpu: BPBits = %d, want >= 0", cfg.BPBits)
+	}
+	return nil
 }
 
 // MemAccess is the memory-system callback the engine provides: it resolves

@@ -67,11 +67,11 @@ type Controller struct {
 	pfFree int64
 	Stats  Stats
 
+	// Stamped interval counters (inert when obs is nil): both are booked
+	// at a cycle other than the current one.
 	obs     *obs.Recorder
 	busyID  obs.CounterID
 	delayID obs.CounterID
-	readID  obs.CounterID
-	writeID obs.CounterID
 }
 
 // New builds a controller.
@@ -80,9 +80,11 @@ func New(cfg Config) *Controller {
 }
 
 // Attach registers the controller's observability hooks: per-interval busy
-// cycles (booked at each slot's start cycle), queue-delay and request
-// counters, and gauges for the booked-ahead backlog and the low-priority
-// queue depth. Safe to call with a nil recorder.
+// cycles (booked at each slot's start cycle) and queue delay (booked at
+// the request's arrival cycle), both of which can fall in a later
+// interval than the current one; the read and write counts, sampled
+// from Stats; and gauges for the booked-ahead backlog and the
+// low-priority queue depth. Safe to call with a nil recorder.
 func (c *Controller) Attach(r *obs.Recorder) {
 	if r == nil {
 		return
@@ -90,8 +92,8 @@ func (c *Controller) Attach(r *obs.Recorder) {
 	c.obs = r
 	c.busyID = r.Counter("dram.busy_cycles")
 	c.delayID = r.Counter("dram.queue_delay")
-	c.readID = r.Counter("dram.reads")
-	c.writeID = r.Counter("dram.writes")
+	r.Counter("dram.reads", &c.Stats.Requests)
+	r.Counter("dram.writes", &c.Stats.Writes)
 	r.GaugeFunc("dram.backlog", func(cycle int64) float64 {
 		b := c.demandTail
 		if c.pfFree > b {
@@ -167,7 +169,6 @@ func (c *Controller) Request(now int64) int64 {
 	c.Stats.Requests++
 	c.Stats.TotalQueueDelay += uint64(start - now)
 	c.book(start)
-	c.obs.Add(c.readID, 1)
 	c.obs.AddAt(c.delayID, now, uint64(start-now))
 	return start + c.cfg.AccessLat
 }
@@ -182,7 +183,6 @@ func (c *Controller) RequestPrefetch(now int64) int64 {
 	c.Stats.Requests++
 	c.Stats.TotalQueueDelay += uint64(start - now)
 	c.book(start)
-	c.obs.Add(c.readID, 1)
 	c.obs.AddAt(c.delayID, now, uint64(start-now))
 	return start + c.cfg.AccessLat
 }
@@ -227,7 +227,6 @@ func (c *Controller) Write(now int64) {
 	start := c.lowPriorityStart(now)
 	c.Stats.Writes++
 	c.book(start)
-	c.obs.Add(c.writeID, 1)
 }
 
 // Utilization returns the fraction of elapsed cycles the controller's pipe

@@ -107,16 +107,11 @@ type Config struct {
 	// worker goroutines concurrently and must not block.
 	CellStart func(label string)
 	// Obs, when non-nil, builds a per-run observability recorder (see
-	// internal/obs) keyed by the run's "label/scheme" cell name. The
-	// returned close function is called after the run; its error fails
-	// the run. Return a nil recorder to skip instrumentation for a cell.
+	// internal/obs: interval metrics, timeline trace, prefetch ledger)
+	// keyed by the run's "label/scheme" cell name. The returned close
+	// function is called after the run; its error fails the run. Return a
+	// nil recorder to skip instrumentation for a cell.
 	Obs func(cell string) (*obs.Recorder, func() error, error)
-	// Ledger, when non-nil, builds a per-run prefetch-line-ledger sink
-	// keyed like Obs. The returned hook receives every prefetched line's
-	// lifecycle record (sim.Config.LedgerHook); the close function is
-	// called after the run and its error fails the run. Return a nil hook
-	// to skip the ledger for a cell.
-	Ledger func(cell string) (func(sim.PFLineEvent), func() error, error)
 }
 
 // Default returns the paper configuration at benchmark scale.
@@ -433,22 +428,15 @@ func (h *Harness) simulate(s cellSpec, variant string) (*Run, error) {
 			closeObs = closer
 		}
 	}
-	closeLedger := func() error { return nil }
-	if h.Cfg.Ledger != nil {
-		hook, closer, lerr := h.Cfg.Ledger(w.Label() + "." + string(scheme))
-		if lerr != nil {
-			cerr := closeObs()
-			return nil, fmt.Errorf("exp: %s/%s: ledger setup: %w", w.Label(), scheme, errors.Join(lerr, cerr))
-		}
-		scfg.LedgerHook = hook
-		if closer != nil {
-			closeLedger = closer
-		}
-	}
 
 	res, err := sim.Run(scfg, w.Space, trace.NewGen(s.Cores), w.Run)
-	cerr := errors.Join(closeObs(), closeLedger())
+	cerr := closeObs()
 	if err != nil {
+		// An aborted run still reports a failed export flush (e.g. a full
+		// disk while writing an interrupted run's outputs).
+		if cerr != nil {
+			err = errors.Join(err, fmt.Errorf("observability export: %w", cerr))
+		}
 		err = fmt.Errorf("exp: %s/%s: %w", w.Label(), scheme, err)
 		//lint:allow determinism aborted-run wall time feeds the JSONL record, not results
 		h.emitAbort(w.Label(), scheme, variant, err, interruptCause, res, time.Since(start))

@@ -139,7 +139,7 @@ func RunMemlatPoint(p MemlatPoint, base sim.Config) (MemlatResult, error) {
 	cfg.CPU.ROBSize = 1
 	cfg.Prefetcher = nil
 	h := &stats.Histogram{}
-	cfg.LatencyHook = func(core int, lat int64, lvl cache.Level) { h.Record(lat) }
+	cfg.Obs = obs.New(obs.Options{Latency: h})
 	res, err := sim.Run(cfg, w.Space, trace.NewGen(1), w.Run)
 	if err != nil {
 		return MemlatResult{}, fmt.Errorf("memlat %s: %w", p.Name, err)

@@ -163,6 +163,47 @@ func TestObsAbortedRunFlushes(t *testing.T) {
 	}
 }
 
+// failWriter fails every write, standing in for a full disk.
+type failWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestObsAbortedRunReportsExportError: an interrupted cell whose metrics
+// writer and file close both fail reports every cause, while the abort
+// is still classified by its interrupt (errors.Is and the JSONL record).
+func TestObsAbortedRunReportsExportError(t *testing.T) {
+	errClose := errors.New("close failed")
+	var log bytes.Buffer
+	cfg := goldenCfg(1)
+	cfg.JSONLog = &log
+	cfg.Obs = func(string) (*obs.Recorder, func() error, error) {
+		r := obs.New(obs.Options{Interval: 100, Metrics: failWriter{}})
+		return r, func() error { return errClose }, nil
+	}
+	polls := 0
+	cfg.Interrupt = func() string {
+		if polls++; polls > 4 {
+			return AbortCanceled
+		}
+		return ""
+	}
+	_, err := New(cfg).RunOne("bfs", "po", SchemeProdigy)
+	for _, want := range []error{sim.ErrInterrupted, errDiskFull, errClose} {
+		if !errors.Is(err, want) {
+			t.Errorf("err = %v, want it to wrap %v", err, want)
+		}
+	}
+	var s RunSummary
+	if err := json.Unmarshal(bytes.TrimSpace(log.Bytes()), &s); err != nil {
+		t.Fatalf("bad abort record %q: %v", log.String(), err)
+	}
+	if s.Abort != AbortCanceled {
+		t.Fatalf("abort = %q, want %q", s.Abort, AbortCanceled)
+	}
+}
+
 // TestJSONLogCarriesPrefetchQuality: the runner's JSONL must carry the pf
 // block for prefetching schemes (with sane ratio bounds) and omit it for
 // the no-prefetch baseline.

@@ -47,8 +47,9 @@ func TestCellPath(t *testing.T) {
 // (b/e/s/f), and counter tracks (C) — with deterministic cycles.
 func goldenDrive(r *Recorder) {
 	var now int64
+	var issued uint64
 	r.Start(2, []string{"busy", "dram"}, func() int64 { return now })
-	issued := r.TrackCounter("sim.pf_issued")
+	r.TrackCounter("sim.pf_issued", &issued)
 	timely := r.TrackCounter("cache.pf_timely")
 
 	r.StallSpan(0, 0, 0, 120)
@@ -56,15 +57,17 @@ func goldenDrive(r *Recorder) {
 	r.StallSpan(1, 1, 0, 260)
 
 	now = 10
-	r.Add(issued, 4)
+	issued += 4
 	r.Instant(0, "seq-start", "prodigy")
 	r.FlowBegin(0, 3, "pf", "prefetch")
 	now = 150
+	r.Sample(now) // first scheduling point past the 100 boundary
 	r.FlowEnd(0, 3, "pf", "prefetch")
-	r.Add(issued, 2)
+	issued += 2
 	r.AddAt(timely, 155, 1)
 
 	r.Tick(100)
+	r.Sample(260)
 	r.Tick(260)
 }
 
@@ -123,10 +126,12 @@ func TestTrackCounterTraceOnly(t *testing.T) {
 	var tb bytes.Buffer
 	r := New(Options{Interval: 100, Trace: &tb})
 	var now int64
+	var issued uint64
 	r.Start(1, []string{"busy"}, func() int64 { return now })
-	id := r.TrackCounter("sim.pf_issued")
+	r.TrackCounter("sim.pf_issued", &issued)
 	now = 50
-	r.Add(id, 7)
+	issued += 7
+	r.Sample(100)
 	r.Tick(100)
 	if err := r.Finish(100); err != nil {
 		t.Fatal(err)
@@ -156,7 +161,7 @@ func TestTrackCounterWithoutTrace(t *testing.T) {
 	if a != b {
 		t.Fatalf("TrackCounter returned %d, Counter %d", b, a)
 	}
-	r.Add(a, 5)
+	r.AddAt(a, 0, 5)
 	if len(r.buckets) != 0 {
 		t.Fatal("buckets allocated with no output enabled")
 	}
@@ -187,10 +192,12 @@ func TestMetricsRowsIncludeTrackedCounters(t *testing.T) {
 	var mb, tb bytes.Buffer
 	r := New(Options{Interval: 100, Metrics: &mb, Trace: &tb})
 	var now int64
+	var issued uint64
 	r.Start(1, []string{"busy"}, func() int64 { return now })
-	id := r.TrackCounter("sim.pf_issued")
+	r.TrackCounter("sim.pf_issued", &issued)
 	now = 10
-	r.Add(id, 3)
+	issued += 3
+	r.Sample(100)
 	r.Tick(100)
 	if err := r.Finish(100); err != nil {
 		t.Fatal(err)

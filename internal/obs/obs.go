@@ -1,35 +1,42 @@
-// Package obs is the simulation observability layer: a counter/gauge
-// registry with interval sampling (per-core CPI-stack slices, cache miss
-// rates, DRAM busy fraction and queue depth, PFHR occupancy, ...) emitted
-// as JSONL, plus a Chrome trace-event (catapult JSON) timeline exporter
-// whose output opens directly in chrome://tracing or Perfetto.
+// Package obs is the simulation observability layer, the one probe
+// surface of a run: a counter/gauge registry with interval sampling
+// (per-core CPI-stack slices, cache miss rates, DRAM busy fraction and
+// queue depth, PFHR occupancy, ...) emitted as JSONL, a Chrome
+// trace-event (catapult JSON) timeline exporter whose output opens
+// directly in chrome://tracing or Perfetto, the per-line prefetch ledger
+// (JSONL), and the demand-latency histogram.
 //
 // Every hook goes through a nil-checkable *Recorder: a nil receiver makes
 // each call a single branch, so fully-disabled instrumentation costs one
 // predictable compare per hook and perturbs nothing. The recorder is
 // driven entirely by simulated cycles — it never reads the wall clock —
-// so two identical runs produce byte-identical metrics and traces.
+// so two identical runs produce byte-identical outputs.
 //
 // Wiring: the simulation engine calls Start once at machine assembly,
-// components register counters/gauges while attaching, the engine calls
-// Tick as simulated time advances (flushing every interval whose cycles
-// are fully attributed), and Finish flushes the tail and the trace
-// footer. See docs/OBSERVABILITY.md for the CLI flags and a trace-viewer
+// components register counters (pointers to their own Stats fields) and
+// gauges while attaching, the engine calls Sample at the first
+// scheduling point past each interval boundary, before that cycle's
+// events, and Tick after them (flushing every interval whose cycles are
+// fully attributed), and Finish flushes the tail and the trace footer.
+// See docs/OBSERVABILITY.md for the CLI flags and a trace-viewer
 // walkthrough.
 package obs
 
 import (
 	"encoding/json"
 	"io"
+	"strconv"
+
+	"prodigy/internal/stats"
 )
 
 // DefaultInterval is the metrics sampling period in cycles when Options
 // leaves it unset.
 const DefaultInterval = 10000
 
-// Options configures a Recorder. Either writer may be nil to disable that
-// output; New with both nil still returns a usable (inert) recorder, but
-// callers normally pass a nil *Recorder instead.
+// Options configures a Recorder. Any output may be nil to disable it;
+// New with all nil still returns a usable (inert) recorder, but callers
+// normally pass a nil *Recorder instead.
 type Options struct {
 	// Interval is the metrics sampling period in simulated cycles
 	// (default DefaultInterval).
@@ -38,11 +45,32 @@ type Options struct {
 	Metrics io.Writer
 	// Trace receives the catapult trace-event JSON stream.
 	Trace io.Writer
+	// Ledger receives one LedgerRow per completed prefetch fill (JSONL).
+	Ledger io.Writer
+	// Latency accumulates demand loads' and atomics' issue→ready cycles.
+	Latency *stats.Histogram
 }
 
-// CounterID names a registered counter. The zero value is not valid; -1
-// (returned by registration on a nil recorder) is safely ignored by Add.
+// CounterID names a registered counter. -1 (returned by a refused
+// registration) is safely ignored by AddAt.
 type CounterID int32
+
+// counter is one registered interval counter: sampled (the growth of its
+// summed sources) or, without sources, stamped (fed by AddAt).
+type counter struct {
+	name string
+	srcs []*uint64
+	last uint64 // summed source value at the previous sample
+}
+
+// value sums the counter's sources.
+func (c *counter) value() uint64 {
+	var v uint64
+	for _, p := range c.srcs {
+		v += *p
+	}
+	return v
+}
 
 // gauge is a registered sampling callback.
 type gauge struct {
@@ -72,15 +100,17 @@ type Recorder struct {
 	interval int64
 	metrics  io.Writer
 	tw       *traceWriter
+	ledger   io.Writer
+	hist     *stats.Histogram
 	clock    func() int64
 
 	cores   int
 	classes []string
 
-	names  []string
-	index  map[string]CounterID
-	gauges []gauge
-	sealed bool
+	counters []counter
+	index    map[string]CounterID
+	gauges   []gauge
+	sealed   bool
 	// tracked lists the counters additionally exported as Chrome counter
 	// tracks ("C" events) at each interval flush. A slice, not a map: the
 	// emission order must be deterministic (registration order).
@@ -90,6 +120,8 @@ type Recorder struct {
 	// interval next+i (nil entries are all-zero intervals).
 	next    int64
 	buckets []*bucket
+	// sampleIdx is the interval sampled counters currently accrue in.
+	sampleIdx int64
 
 	spans []spanState
 	err   error
@@ -104,6 +136,8 @@ func New(opts Options) *Recorder {
 	r := &Recorder{
 		interval: opts.Interval,
 		metrics:  opts.Metrics,
+		ledger:   opts.Ledger,
+		hist:     opts.Latency,
 		index:    map[string]CounterID{},
 	}
 	if opts.Trace != nil {
@@ -138,7 +172,7 @@ func (r *Recorder) Start(cores int, stallClasses []string, clock func() int64) {
 			Args: map[string]any{"name": "prodigy cores"}})
 		for c := 0; c < cores; c++ {
 			r.tw.event(traceEvent{Ph: "M", Pid: 0, Tid: c, Name: "thread_name",
-				Args: map[string]any{"name": "core " + itoa(c)}})
+				Args: map[string]any{"name": "core " + strconv.Itoa(c)}})
 		}
 	}
 }
@@ -152,22 +186,31 @@ func (r *Recorder) now() int64 {
 }
 
 // Counter registers (or re-fetches) a named interval counter and returns
-// its ID. Registration happens while components attach, before the run
-// produces data; late registrations after sampling has begun are refused
-// (the returned ID is inert).
-func (r *Recorder) Counter(name string) CounterID {
+// its ID. srcs point at cumulative values the simulator already keeps
+// (e.g. &hier.Stats.DemandAccesses); each interval reports their summed
+// growth, and re-registering a name adds sources (one per core, say). A
+// counter without sources is stamped, fed per event by AddAt.
+// Registration happens while components attach; once sampling has begun
+// new names are refused (inert ID) and new sources ignored.
+func (r *Recorder) Counter(name string, srcs ...*uint64) CounterID {
 	if r == nil {
 		return -1
 	}
-	if id, ok := r.index[name]; ok {
+	id, ok := r.index[name]
+	if r.sealed {
+		if !ok {
+			return -1
+		}
 		return id
 	}
-	if r.sealed {
-		return -1
+	if !ok {
+		id = CounterID(len(r.counters))
+		r.counters = append(r.counters, counter{name: name})
+		r.index[name] = id
 	}
-	id := CounterID(len(r.names))
-	r.names = append(r.names, name)
-	r.index[name] = id
+	c := &r.counters[id]
+	c.srcs = append(c.srcs, srcs...)
+	c.last = c.value()
 	return id
 }
 
@@ -176,8 +219,8 @@ func (r *Recorder) Counter(name string) CounterID {
 // event per flushed interval carrying the interval's delta, so the
 // counter renders as a value-over-time track in the trace viewer. With
 // tracing disabled it behaves exactly like Counter.
-func (r *Recorder) TrackCounter(name string) CounterID {
-	id := r.Counter(name)
+func (r *Recorder) TrackCounter(name string, srcs ...*uint64) CounterID {
+	id := r.Counter(name, srcs...)
 	if r == nil || id < 0 || r.tw == nil {
 		return id
 	}
@@ -199,18 +242,10 @@ func (r *Recorder) GaugeFunc(name string, fn func(cycle int64) float64) {
 	r.gauges = append(r.gauges, gauge{name: name, fn: fn})
 }
 
-// Add increments counter id by n at the current simulated cycle.
-func (r *Recorder) Add(id CounterID, n uint64) {
-	if r == nil {
-		return
-	}
-	r.AddAt(id, r.now(), n)
-}
-
-// AddAt increments counter id by n, attributed to the interval containing
-// cycle. Cycles in already-flushed intervals are dropped; cycles in
-// future intervals (e.g. DRAM bandwidth booked ahead of time) buffer
-// until that interval flushes.
+// AddAt increments stamped counter id by n, attributed to the interval
+// containing cycle. Cycles in already-flushed intervals are dropped;
+// cycles in future intervals (e.g. DRAM bandwidth booked ahead of time)
+// buffer until that interval flushes.
 func (r *Recorder) AddAt(id CounterID, cycle int64, n uint64) {
 	if r == nil || id < 0 || !r.buffering() {
 		return
@@ -286,9 +321,69 @@ func (r *Recorder) FlowEnd(core int, id uint64, name, cat string) {
 	r.tw.event(traceEvent{Ph: "f", BP: "e", Ts: ts, Pid: 0, Tid: core, Name: name + "-flow", Cat: cat, ID: hexID(id)})
 }
 
+// PrefetchFill writes one completed prefetch's ledger row (a no-op
+// without a ledger writer).
+func (r *Recorder) PrefetchFill(row LedgerRow) {
+	if r == nil || r.ledger == nil {
+		return
+	}
+	r.writeLedger(row)
+}
+
+// writeLedger is kept out of line so that an inlined PrefetchFill never
+// boxes the caller's row: it stays on the engine's stack whenever the
+// ledger is off (the //hot:noescape contract in sim's fill path).
+//
+//go:noinline
+func (r *Recorder) writeLedger(row LedgerRow) { r.writeJSONL(r.ledger, row) }
+
+// DemandLatency records one demand access's issue→ready latency in the
+// latency histogram (a no-op without one).
+func (r *Recorder) DemandLatency(cycles int64) {
+	if r == nil || r.hist == nil {
+		return
+	}
+	r.hist.Record(cycles)
+}
+
+// Sample closes the sampled counters' open interval once now has reached
+// its end: their growth since the previous sample goes to that interval.
+// The engine calls it before the events at now run, so everything
+// counted so far happened before the boundary; intervals a wakeup leaps
+// over stay zero, as no event ran in them.
+func (r *Recorder) Sample(now int64) {
+	if r == nil || !r.buffering() || now < (r.sampleIdx+1)*r.interval {
+		return
+	}
+	r.fold()
+	r.sampleIdx = now / r.interval
+}
+
+// fold adds every sampled counter's growth since its last sample to the
+// open interval's bucket, creating the bucket only if something grew.
+func (r *Recorder) fold() {
+	var b *bucket
+	for i := range r.counters {
+		c := &r.counters[i]
+		if c.srcs == nil {
+			continue
+		}
+		v := c.value()
+		if d := v - c.last; d != 0 {
+			if b == nil {
+				b = r.bucketFor(r.sampleIdx)
+			}
+			if b != nil {
+				b.counters[i] += d
+			}
+		}
+		c.last = v
+	}
+}
+
 // Tick flushes every interval whose cycles are fully attributed (interval
 // end at or before now). The engine calls it after stepping all cores at
-// each scheduling point.
+// each scheduling point that crossed a boundary (after Sample).
 func (r *Recorder) Tick(now int64) {
 	if r == nil || !r.buffering() {
 		return
@@ -306,6 +401,7 @@ func (r *Recorder) Finish(end int64) error {
 		return nil
 	}
 	if r.buffering() {
+		r.fold() // the tail since the last Sample
 		for len(r.buckets) > 0 || r.next*r.interval < end {
 			r.flushNext(end)
 		}
@@ -345,7 +441,7 @@ func (r *Recorder) bucketFor(idx int64) *bucket {
 		r.buckets = append(r.buckets, nil)
 	}
 	if r.buckets[off] == nil {
-		b := &bucket{counters: make([]uint64, len(r.names))}
+		b := &bucket{counters: make([]uint64, len(r.counters))}
 		b.cpi = make([][]int64, r.cores)
 		for i := range b.cpi {
 			b.cpi[i] = make([]int64, len(r.classes))
@@ -377,6 +473,18 @@ type MetricsRow struct {
 	Gauges map[string]float64 `json:"gauges,omitempty"`
 }
 
+// LedgerRow is the JSONL schema of one prefetched line's issue→fill
+// record: the per-line detail behind the prefetch-lifecycle summary.
+type LedgerRow struct {
+	Core               int    // issuing core
+	LineAddr           uint64 // byte address of the line start
+	IssuedAt, FilledAt int64  // issue and completion cycles
+	Level              uint8  // cache.Level that serviced it (2 L2, 3 L3, 4 DRAM)
+	// DemandMerged reports that a demand reached the line while it was
+	// still in flight (the "late" lifecycle class).
+	DemandMerged bool
+}
+
 // flushNext emits the row for interval r.next. finish is the run's final
 // cycle when known (Finish), -1 mid-run.
 func (r *Recorder) flushNext(finish int64) {
@@ -399,7 +507,7 @@ func (r *Recorder) flushNext(finish int64) {
 				v = b.counters[id]
 			}
 			r.tw.event(traceEvent{Ph: "C", Ts: start, Pid: 0, Tid: 0,
-				Name: r.names[id], Cat: "counter", Args: map[string]any{"value": v}})
+				Name: r.counters[id].name, Cat: "counter", Args: map[string]any{"value": v}})
 		}
 	}
 	if r.metrics == nil {
@@ -432,12 +540,12 @@ func (r *Recorder) flushNext(finish int64) {
 		}
 		row.CPI[core] = m
 	}
-	for i, name := range r.names {
+	for i := range r.counters {
+		var v uint64
 		if b != nil {
-			row.Counters[name] = b.counters[i]
-		} else {
-			row.Counters[name] = 0
+			v = b.counters[i]
 		}
+		row.Counters[r.counters[i].name] = v
 	}
 	if len(r.gauges) > 0 {
 		sampleAt := end
@@ -449,19 +557,16 @@ func (r *Recorder) flushNext(finish int64) {
 			row.Gauges[g.name] = g.fn(sampleAt)
 		}
 	}
-	buf, err := json.Marshal(row)
-	if err != nil {
-		if r.err == nil {
-			r.err = err
-		}
-		return
-	}
-	r.metricsWrite(append(buf, '\n'))
+	r.writeJSONL(r.metrics, row)
 }
 
-// metricsWrite writes to the metrics sink, retaining the first error.
-func (r *Recorder) metricsWrite(b []byte) {
-	if _, err := r.metrics.Write(b); err != nil && r.err == nil {
+// writeJSONL appends v to w as one JSON line, retaining the first error.
+func (r *Recorder) writeJSONL(w io.Writer, v any) {
+	buf, err := json.Marshal(v)
+	if err == nil {
+		_, err = w.Write(append(buf, '\n'))
+	}
+	if err != nil && r.err == nil {
 		r.err = err
 	}
 }
@@ -476,46 +581,8 @@ func (r *Recorder) emitSpan(core int, s *spanState) {
 		Pid: 0, Tid: core, Name: name, Cat: "stall"})
 }
 
-// itoa is strconv.Itoa without the import weight elsewhere in the hot
-// path (metadata only).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
 // hexID renders a flow/async id the way trace viewers expect.
 func hexID(id uint64) string {
-	const digits = "0123456789abcdef"
 	var buf [18]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = digits[id&0xF]
-		id >>= 4
-		if id == 0 {
-			break
-		}
-	}
-	i--
-	buf[i] = 'x'
-	i--
-	buf[i] = '0'
-	return string(buf[i:])
+	return string(strconv.AppendUint(append(buf[:0], "0x"...), id, 16))
 }

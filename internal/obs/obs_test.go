@@ -8,13 +8,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"prodigy/internal/stats"
 )
 
 // drive runs a small scripted workload against a recorder.
 func drive(r *Recorder) {
 	var now int64
+	var misses uint64
 	r.Start(2, []string{"busy", "dram"}, func() int64 { return now })
-	misses := r.Counter("l1.miss")
+	r.Counter("l1.miss", &misses)
 	fills := r.Counter("pf.fill")
 	r.GaugeFunc("pfhr.free", func(cycle int64) float64 { return float64(cycle % 7) })
 
@@ -27,16 +30,18 @@ func drive(r *Recorder) {
 	r.StallSpan(1, 0, 210, 260)
 
 	now = 40
-	r.Add(misses, 3)
-	r.AddAt(fills, 120, 2)  // lands in interval 1
-	r.AddAt(misses, 205, 1) // lands in interval 2
+	misses += 3
+	r.AddAt(fills, 120, 2) // stamped ahead: lands in interval 1
 	now = 90
 	r.Instant(0, "seq-start", "prodigy")
 	r.FlowBegin(0, 7, "pf", "prefetch")
 	now = 180
+	r.Sample(now) // first scheduling point past the 100 boundary
 	r.FlowEnd(0, 7, "pf", "prefetch")
-
 	r.Tick(100) // flushes interval 0
+	now = 205
+	r.Sample(now)
+	misses++    // lands in interval 2
 	r.Tick(260) // flushes interval 1
 }
 
@@ -187,8 +192,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Errorf("nil Counter = %d, want -1", id)
 	}
 	r.GaugeFunc("g", func(int64) float64 { return 0 })
-	r.Add(id, 1)
 	r.AddAt(id, 50, 1)
+	r.Sample(100)
+	r.PrefetchFill(LedgerRow{Core: 1})
+	r.DemandLatency(7)
 	r.StallSpan(0, 0, 0, 10)
 	r.Instant(0, "n", "c")
 	r.FlowBegin(0, 1, "n", "c")
@@ -238,11 +245,13 @@ func TestOpenFiles(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "out.json")
 	metricsPath := filepath.Join(dir, "out.jsonl")
-	r, closeFn, err := OpenFiles(tracePath, metricsPath, 100)
+	ledgerPath := filepath.Join(dir, "ledger.jsonl")
+	r, closeFn, err := OpenFiles(tracePath, metricsPath, ledgerPath, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drive(r)
+	r.PrefetchFill(LedgerRow{Core: 1, LineAddr: 4096, IssuedAt: 5, FilledAt: 130, Level: 4, DemandMerged: true})
 	if err := r.Finish(260); err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +273,17 @@ func TestOpenFiles(t *testing.T) {
 	if rows := parseRows(t, string(metricsBytes)); len(rows) != 3 {
 		t.Fatalf("got %d metric rows, want 3", len(rows))
 	}
+	ledgerBytes, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantLedger = `{"Core":1,"LineAddr":4096,"IssuedAt":5,"FilledAt":130,"Level":4,"DemandMerged":true}` + "\n"
+	if string(ledgerBytes) != wantLedger {
+		t.Fatalf("ledger = %q, want %q", ledgerBytes, wantLedger)
+	}
 
-	// Both paths empty: fully disabled.
-	r2, closeFn2, err := OpenFiles("", "", 0)
+	// Every path empty: fully disabled.
+	r2, closeFn2, err := OpenFiles("", "", "", 0)
 	if err != nil || r2 != nil {
 		t.Fatalf("disabled path: r=%v err=%v", r2, err)
 	}
@@ -280,11 +297,62 @@ func TestLateCounterRegistrationRefused(t *testing.T) {
 	r := New(Options{Interval: 10, Metrics: &mb})
 	r.Start(1, []string{"busy"}, func() int64 { return 0 })
 	early := r.Counter("early")
-	r.Add(early, 1) // seals the registry
-	if id := r.Counter("late"); id != -1 {
+	r.AddAt(early, 0, 1) // seals the registry
+	var late uint64
+	if id := r.Counter("late", &late); id != -1 {
 		t.Errorf("late registration returned %d, want -1", id)
 	}
 	if id := r.Counter("early"); id != early {
 		t.Errorf("re-fetch of existing counter returned %d, want %d", id, early)
 	}
+}
+
+// TestSampledCounters pins the sampling contract: sources registered
+// under one name are summed, growth lands in the interval Sample closed,
+// intervals a Sample leaps over stay zero, and growth at the final cycle
+// of a run ending on a boundary still gets its own (zero-cycle) row.
+func TestSampledCounters(t *testing.T) {
+	var mb bytes.Buffer
+	r := New(Options{Interval: 100, Metrics: &mb})
+	r.Start(1, []string{"busy"}, nil)
+	var a, b uint64
+	r.Counter("x", &a)
+	r.Counter("x", &b) // a second core's source
+	a, b = 2, 3        // interval 0
+	r.Sample(350)      // leaps boundaries 100, 200 and 300
+	a++                // interval 3
+	r.Tick(350)
+	r.Sample(400)
+	b += 4 // at cycle 400, the run's final cycle
+	r.Tick(400)
+	if err := r.Finish(400); err != nil {
+		t.Fatal(err)
+	}
+	rows := parseRows(t, mb.String())
+	want := []uint64{5, 0, 0, 1, 4}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d:\n%s", len(rows), len(want), mb.String())
+	}
+	for i, row := range rows {
+		if got := row.Counters["x"]; got != want[i] {
+			t.Errorf("row %d: x = %d, want %d", i, got, want[i])
+		}
+	}
+	if rows[4].Cycles != 0 {
+		t.Errorf("row past the final cycle claims %d cycles, want 0", rows[4].Cycles)
+	}
+}
+
+// TestDemandLatencyFeedsHistogram: the latency sink records into the
+// configured histogram and is a no-op without one.
+func TestDemandLatencyFeedsHistogram(t *testing.T) {
+	h := &stats.Histogram{}
+	r := New(Options{Latency: h})
+	r.DemandLatency(30)
+	r.DemandLatency(30)
+	r.DemandLatency(2)
+	if h.Total() != 3 || h.Mode() != 30 {
+		t.Fatalf("histogram total %d mode %d, want 3 and 30", h.Total(), h.Mode())
+	}
+	New(Options{}).DemandLatency(5)
 }

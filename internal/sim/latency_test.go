@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
-	"prodigy/internal/cache"
 	"prodigy/internal/memspace"
+	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
+	"prodigy/internal/stats"
 	"prodigy/internal/trace"
 )
 
@@ -20,10 +22,11 @@ func serialConfig(cores int) Config {
 	return cfg
 }
 
-type latRec struct {
-	core int
-	lat  int64
-	lvl  cache.Level
+// latencyRecorder returns a recorder whose only output is a demand-
+// latency histogram (the memlat calibration setup).
+func latencyRecorder() (*obs.Recorder, *stats.Histogram) {
+	h := &stats.Histogram{}
+	return obs.New(obs.Options{Latency: h}), h
 }
 
 // TestLatencyHookPlateaus pins the Table-I composition end to end: a
@@ -33,10 +36,8 @@ func TestLatencyHookPlateaus(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU64("a", 64)
 	cfg := serialConfig(1)
-	var recs []latRec
-	cfg.LatencyHook = func(core int, lat int64, lvl cache.Level) {
-		recs = append(recs, latRec{core, lat, lvl})
-	}
+	var h *stats.Histogram
+	cfg.Obs, h = latencyRecorder()
 	_, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {
 		g.Load(0, 1, arr.Addr(0))
 		g.Load(0, 2, arr.Addr(0))
@@ -44,16 +45,12 @@ func TestLatencyHookPlateaus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("recorded %d latencies, want 2", len(recs))
-	}
 	wantCold := cfg.TLB.WalkLat + int64(cfg.Cache.L3Lat) + cfg.DRAM.AccessLat
-	if recs[0].lat != wantCold || recs[0].lvl != cache.LvlMem {
-		t.Fatalf("cold load = %+v, want lat %d level Mem (walk %d + L3 %d + DRAM %d)",
-			recs[0], wantCold, cfg.TLB.WalkLat, cfg.Cache.L3Lat, cfg.DRAM.AccessLat)
-	}
-	if recs[1].lat != int64(cfg.Cache.L1Lat) || recs[1].lvl != cache.LvlL1 {
-		t.Fatalf("warm load = %+v, want lat %d level L1", recs[1], cfg.Cache.L1Lat)
+	warm := int64(cfg.Cache.L1Lat)
+	want := []stats.HistBucket{{Lo: warm, Hi: warm, Count: 1}, {Lo: wantCold, Hi: wantCold, Count: 1}}
+	if got := h.Buckets(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("latencies = %+v, want %+v (warm: L1 hit; cold: walk %d + L3 %d + DRAM %d)",
+			got, want, cfg.TLB.WalkLat, cfg.Cache.L3Lat, cfg.DRAM.AccessLat)
 	}
 }
 
@@ -63,8 +60,8 @@ func TestLatencyHookSkipsStores(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU64("a", 64)
 	cfg := serialConfig(1)
-	var n int
-	cfg.LatencyHook = func(int, int64, cache.Level) { n++ }
+	var h *stats.Histogram
+	cfg.Obs, h = latencyRecorder()
 	_, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {
 		g.Load(0, 1, arr.Addr(0))
 		g.Store(0, 2, arr.Addr(8))
@@ -73,43 +70,23 @@ func TestLatencyHookSkipsStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("hook fired %d times, want 2 (stores skipped)", n)
+	if n := h.Total(); n != 2 {
+		t.Fatalf("recorded %d latencies, want 2 (stores skipped)", n)
 	}
 }
 
-// Arming the hook must not move a single cycle: the hook observes the
-// schedule, it does not participate in it.
+// Arming the latency histogram must not move a single cycle: it observes
+// the schedule, it does not participate in it.
 func TestLatencyHookDoesNotPerturbTiming(t *testing.T) {
-	run := func(hook func(int, int64, cache.Level)) Result {
-		space := memspace.New()
-		arr := space.AllocU32("a", 2048)
-		cfg := Default(2)
-		cfg.Prefetcher = prefetch.Stride(prefetch.StrideConfig{Degree: 4, TableSize: 64})
-		cfg.LatencyHook = hook
-		res, err := Run(cfg, space, trace.NewGen(2), func(g *trace.Gen) {
-			for i := range arr.Data {
-				g.Load(i%2, 1, arr.Addr(i))
-			}
-			g.Barrier()
-			for i := range arr.Data {
-				g.Load(i%2, 2, arr.Addr(len(arr.Data)-1-i))
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var count uint64
-	with := run(func(int, int64, cache.Level) { count++ })
-	without := run(nil)
+	rec, h := latencyRecorder()
+	with := stridePairRun(t, rec)
+	without := stridePairRun(t, nil)
 	if with.Cycles != without.Cycles || with.Agg != without.Agg ||
 		with.Cache != without.Cache || with.Sim != without.Sim || with.DRAM != without.DRAM {
-		t.Fatalf("hook perturbed the run: %d vs %d cycles", with.Cycles, without.Cycles)
+		t.Fatalf("histogram perturbed the run: %d vs %d cycles", with.Cycles, without.Cycles)
 	}
-	if count == 0 {
-		t.Fatal("hook never fired")
+	if h.Total() == 0 {
+		t.Fatal("histogram recorded nothing")
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"testing"
 
@@ -46,30 +47,71 @@ func TestObsOnDoesNotChangeResult(t *testing.T) {
 }
 
 // TestObsCountersMatchResultStats cross-checks the interval counters
-// against the simulator's own aggregate statistics: the summed
-// "cache.demand" counter must equal Result.Cache.DemandAccesses, and the
+// against the simulator's own aggregate statistics: every counter summed
+// over the rows must equal the Result field it samples (or, for the two
+// stamped DRAM counters, the Stats total it is booked alongside), and the
 // per-interval CPI slices must add up to the run's attributed cycles.
 func TestObsCountersMatchResultStats(t *testing.T) {
 	var metrics bytes.Buffer
 	rec := obs.New(obs.Options{Interval: 500, Metrics: &metrics})
 	res := runIrregular(t, 1<<12, rec)
 
-	var demand uint64
+	sums := map[string]uint64{}
 	var attributed int64
 	for _, line := range bytes.Split(bytes.TrimSpace(metrics.Bytes()), []byte("\n")) {
 		var row obs.MetricsRow
 		if err := json.Unmarshal(line, &row); err != nil {
 			t.Fatalf("bad metrics row %q: %v", line, err)
 		}
-		demand += row.Counters["cache.demand"]
+		for name, v := range row.Counters {
+			sums[name] += v
+		}
 		for _, stack := range row.CPI {
 			for _, v := range stack {
 				attributed += v
 			}
 		}
 	}
-	if demand != res.Cache.DemandAccesses {
-		t.Errorf("summed cache.demand = %d, Result says %d", demand, res.Cache.DemandAccesses)
+	var pd core.Stats
+	for _, p := range res.Prefetchers {
+		s := p.(*core.Prodigy).Stats
+		pd.SeqStarted += s.SeqStarted
+		pd.SeqDropped += s.SeqDropped
+		pd.PFHRFull += s.PFHRFull
+	}
+	c := res.Cache
+	want := map[string]uint64{
+		"cache.demand":            c.DemandAccesses,
+		"cache.l1_hit":            c.DemandL1Hits,
+		"cache.l2_hit":            c.DemandL2Hits,
+		"cache.l3_hit":            c.DemandL3Hits,
+		"cache.mem":               c.DemandMem,
+		"cache.pf_fill":           c.PrefetchFills,
+		"cache.writeback":         c.Writebacks,
+		"cache.pf_timely":         c.PrefetchL1Hits + c.PrefetchL2Hits + c.PrefetchL3Hits,
+		"cache.pf_evicted_unused": c.PrefetchEvicted,
+		"sim.pf_issued":           res.Sim.PrefetchIssued,
+		"sim.late_merge":          res.Sim.LateMerges,
+		"sim.pf_mshr_full":        res.Sim.PrefetchMSHRFull,
+		"sim.pf_redundant":        res.Sim.PrefetchMergedResident,
+		"dram.reads":              res.DRAM.Requests,
+		"dram.writes":             res.DRAM.Writes,
+		"dram.busy_cycles":        res.DRAM.BusyCycles,
+		"dram.queue_delay":        res.DRAM.TotalQueueDelay,
+		"prodigy.seq_started":     pd.SeqStarted,
+		"prodigy.seq_dropped":     pd.SeqDropped,
+		"prodigy.pfhr_full":       pd.PFHRFull,
+	}
+	if len(sums) != len(want) {
+		t.Errorf("rows carry %d counters, the check covers %d: %v", len(sums), len(want), sums)
+	}
+	for name, w := range want {
+		if got, ok := sums[name]; !ok || got != w {
+			t.Errorf("summed %s = %d (present %v), Result says %d", name, got, ok, w)
+		}
+	}
+	if res.Cache.DemandAccesses == 0 || pd.SeqStarted == 0 {
+		t.Fatal("run exercised neither the hierarchy nor Prodigy; the check is vacuous")
 	}
 	if attributed != res.Cycles {
 		t.Errorf("interval CPI slices cover %d cycles, run took %d", attributed, res.Cycles)
@@ -146,6 +188,35 @@ func TestIntervalBoundariesExactAcrossSkips(t *testing.T) {
 				t.Fatalf("row %d core %d attributes %d of %d cycles", i, core, sum, row.Cycles)
 			}
 		}
+	}
+}
+
+// failWriter fails every write, standing in for a full disk.
+type failWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestAbortReportsExportError: an interrupted run whose metrics flush
+// fails reports both causes — the interrupt sentinel still classifies the
+// abort, and the export error is not dropped.
+func TestAbortReportsExportError(t *testing.T) {
+	space, idx, data, d := irregularSetup(t, 1<<12)
+	cfg := Default(1)
+	cfg.Prefetcher = core.New(d, core.DefaultConfig())
+	cfg.Obs = obs.New(obs.Options{Interval: 100, Metrics: failWriter{}})
+	polls := 0
+	cfg.Interrupt = func() bool { polls++; return polls > 4 }
+	res, err := Run(cfg, space, trace.NewGen(1), irregularWorkload(idx, data))
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("err = %v, want the metrics write error joined in", err)
+	}
+	if res.Cycles == 0 {
+		t.Fatal("aborted before any interval was written; the check is vacuous")
 	}
 }
 

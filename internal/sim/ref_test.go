@@ -23,6 +23,7 @@ import (
 func refRun(m *Machine) (Result, error) {
 	now := int64(0)
 	for {
+		m.cfg.Obs.Sample(now)
 		m.processEvents(now)
 		m.now = now
 
@@ -64,19 +65,15 @@ func refRun(m *Machine) (Result, error) {
 			next = now + 1
 		}
 		if next >= farFuture {
-			return m.abort(now, fmt.Errorf("sim: %w at cycle %d", ErrDeadlock, now))
+			return m.finish(now, fmt.Errorf("sim: %w at cycle %d", ErrDeadlock, now))
 		}
 		now = next
 		if now > m.cfg.MaxCycles {
-			return m.abort(now, fmt.Errorf("sim: %w (limit %d)", ErrMaxCycles, m.cfg.MaxCycles))
+			return m.finish(now, fmt.Errorf("sim: %w (limit %d)", ErrMaxCycles, m.cfg.MaxCycles))
 		}
 	}
 
-	res := m.collect(now)
-	if ferr := m.cfg.Obs.Finish(now); ferr != nil {
-		return res, fmt.Errorf("sim: observability export: %w", ferr)
-	}
-	return res, nil
+	return m.finish(now, nil)
 }
 
 // refAllActiveParked reports whether at least one core is unfinished and

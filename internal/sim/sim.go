@@ -65,7 +65,9 @@ type Config struct {
 	// issuer is told). 0 means the default of 128.
 	PrefetchMSHRs int
 	// MissHook, when set, is called with the byte address of every demand
-	// access that missed the whole hierarchy (the Fig. 13 classifier).
+	// access that missed the whole hierarchy. It is a result input, not an
+	// observer: it feeds Fig. 13's count of misses inside the DIG
+	// (exp.Run.MissesInDIG) on every run.
 	MissHook func(addr uint64)
 	// PrefetchFillL2 places prefetch fills in the L2 instead of the L1D
 	// (the fill-level ablation; the paper's design fills the L1D).
@@ -76,41 +78,12 @@ type Config struct {
 	// wall-clock timeouts, since a simulation goroutine cannot be killed
 	// from outside.
 	Interrupt func() bool
-	// Obs, when set, receives interval metrics and timeline events from
-	// every component (see internal/obs). nil disables all
-	// instrumentation; the hooks then cost one branch each.
+	// Obs, when set, is the run's one probe surface (see internal/obs):
+	// interval metrics sampled from the components' Stats, timeline
+	// events, the prefetch ledger, and the latency histogram of demand
+	// loads and atomics (the issue→ready wait the scheduler charges the
+	// core). nil disables it all; the hooks then cost one branch each.
 	Obs *obs.Recorder
-	// LedgerHook, when set, receives one record per completed prefetch
-	// fill — the opt-in per-line issue→fill detail beyond the packed line
-	// tag and the aggregate counters. The default (nil) costs one branch
-	// per fill and allocates nothing.
-	LedgerHook func(PFLineEvent)
-	// LatencyHook, when set, receives every demand load's and atomic's
-	// issue→ready latency in cycles (TLB walk + hierarchy + DRAM +
-	// queueing, exactly the wait the wakeup scheduler charges the core)
-	// together with the level that serviced it. Plain stores are skipped:
-	// they drain through the store buffer at now+1 and say nothing about
-	// memory latency. The latency-calibration suite (internal/exp memlat
-	// sweep, docs/EXPERIMENTS.md) feeds a stats.Histogram from this. The
-	// default (nil) costs one branch per access and never perturbs
-	// timing.
-	LatencyHook func(core int, lat int64, level cache.Level)
-}
-
-// PFLineEvent is one prefetched line's issue→fill record, delivered to
-// Config.LedgerHook when per-line ledger detail is enabled.
-type PFLineEvent struct {
-	// Core is the issuing core.
-	Core int
-	// LineAddr is the byte address of the line start.
-	LineAddr uint64
-	// IssuedAt/FilledAt are the issue and completion cycles.
-	IssuedAt, FilledAt int64
-	// Level is where the memory system serviced the prefetch.
-	Level cache.Level
-	// DemandMerged reports that a demand reached the line while it was
-	// still in flight (the "late" lifecycle class).
-	DemandMerged bool
 }
 
 // Default returns the Table I machine (capacities scaled per DESIGN.md §2)
@@ -486,20 +459,25 @@ type Machine struct {
 	lateLines     []uint64
 	lateLinesMem  []uint64
 
-	// Observability counter IDs and the prefetch flow-event sequence
-	// (inert when cfg.Obs is nil).
-	obsPFIssued    obs.CounterID
-	obsLateMerge   obs.CounterID
-	obsMSHRFull    obs.CounterID
-	obsPFRedundant obs.CounterID
-	pfFlowSeq      uint64
+	pfFlowSeq uint64 // numbers prefetch flow events (when cfg.Obs is set)
 }
 
 // NewMachine wires a machine to a functional memory and per-core
 // instruction streams. An invalid configuration (e.g. a cache geometry
-// whose set count is not a power of two) is reported as an error, so a
-// bad sweep point fails as a run error instead of a worker panic.
+// whose set count is not a power of two, or more cores than the
+// hierarchy has private caches for) is reported as an error, so a bad
+// sweep point fails as a run error instead of a worker panic or a run
+// that spins to MaxCycles.
 func NewMachine(cfg Config, space *memspace.Space, gen *trace.Gen) (*Machine, error) {
+	if cfg.Cores <= 0 {
+		return nil, fmt.Errorf("sim: Cores = %d, want > 0", cfg.Cores)
+	}
+	if cfg.Cores > cfg.Cache.Cores {
+		return nil, fmt.Errorf("sim: Cores = %d exceeds the hierarchy's Cache.Cores = %d", cfg.Cores, cfg.Cache.Cores)
+	}
+	if err := cfg.CPU.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1 << 40
 	}
@@ -532,14 +510,23 @@ func NewMachine(cfg Config, space *memspace.Space, gen *trace.Gen) (*Machine, er
 			names[i] = k.String()
 		}
 		cfg.Obs.Start(cfg.Cores, names, func() int64 { return m.now })
-		// Lifecycle counters double as trace counter tracks (prefetch
-		// quality over time in the timeline viewer).
-		m.obsPFIssued = cfg.Obs.TrackCounter("sim.pf_issued")
-		m.obsLateMerge = cfg.Obs.TrackCounter("sim.late_merge")
-		m.obsMSHRFull = cfg.Obs.TrackCounter("sim.pf_mshr_full")
-		m.obsPFRedundant = cfg.Obs.TrackCounter("sim.pf_redundant")
+		// Interval counters sample the engine's and the hierarchy's Stats;
+		// the lifecycle ones double as trace counter tracks.
+		st, cs := &m.stats, &hier.Stats
+		cfg.Obs.TrackCounter("sim.pf_issued", &st.PrefetchIssued)
+		cfg.Obs.TrackCounter("sim.late_merge", &st.LateMerges)
+		cfg.Obs.TrackCounter("sim.pf_mshr_full", &st.PrefetchMSHRFull)
+		cfg.Obs.TrackCounter("sim.pf_redundant", &st.PrefetchMergedResident)
+		cfg.Obs.Counter("cache.demand", &cs.DemandAccesses)
+		cfg.Obs.Counter("cache.l1_hit", &cs.DemandL1Hits)
+		cfg.Obs.Counter("cache.l2_hit", &cs.DemandL2Hits)
+		cfg.Obs.Counter("cache.l3_hit", &cs.DemandL3Hits)
+		cfg.Obs.Counter("cache.mem", &cs.DemandMem)
+		cfg.Obs.Counter("cache.pf_fill", &cs.PrefetchFills)
+		cfg.Obs.Counter("cache.writeback", &cs.Writebacks)
+		cfg.Obs.TrackCounter("cache.pf_timely", &cs.PrefetchL1Hits, &cs.PrefetchL2Hits, &cs.PrefetchL3Hits)
+		cfg.Obs.TrackCounter("cache.pf_evicted_unused", &cs.PrefetchEvicted)
 	}
-	m.hier.Attach(cfg.Obs)
 	m.mem.Attach(cfg.Obs)
 	fac := cfg.Prefetcher
 	if fac == nil {
@@ -565,7 +552,11 @@ func NewMachine(cfg Config, space *memspace.Space, gen *trace.Gen) (*Machine, er
 		}
 		m.pfs = append(m.pfs, fac(env))
 		memFn := func(now int64, in trace.Instr) (int64, cache.Level) {
-			return m.demandAccess(core, now, in)
+			ready, lvl := m.demandAccess(core, now, in)
+			if m.cfg.Obs != nil && in.Kind != trace.Store {
+				m.cfg.Obs.DemandLatency(ready - now)
+			}
+			return ready, lvl
 		}
 		softFn := func(now int64, addr uint64) {
 			m.now = now
@@ -605,19 +596,9 @@ func (m *Machine) memIssueAt(now, tlbLat int64) int64 {
 	return now + tlbLat + int64(m.cfg.Cache.L3Lat)
 }
 
-// demandAccess resolves one demand load/store/atomic and, when the
-// opt-in LatencyHook is armed, reports the issue→ready latency of
-// everything the core actually waits on (loads and atomics).
+// demandAccess resolves one demand load/store/atomic, returning the cycle
+// its data is ready and the level that serviced it.
 func (m *Machine) demandAccess(core int, now int64, in trace.Instr) (int64, cache.Level) {
-	ready, lvl := m.demandResolve(core, now, in)
-	if m.cfg.LatencyHook != nil && in.Kind != trace.Store {
-		m.cfg.LatencyHook(core, ready-now, lvl)
-	}
-	return ready, lvl
-}
-
-// demandResolve is the hook-free body of demandAccess.
-func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cache.Level) {
 	m.now = now
 	addr := in.Addr
 	tlbLat := m.tlbs[core].Translate(addr)
@@ -639,7 +620,6 @@ func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cac
 			}
 			ev.demandMerged = true
 			m.stats.LateMerges++
-			m.cfg.Obs.Add(m.obsLateMerge, 1)
 			var ready int64
 			if in.Kind == trace.Store {
 				// Plain stores drain through the store buffer: the core moves on
@@ -723,7 +703,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 		}
 		m.stats.PrefetchMergedResident++
 		m.pfRedundantPC[core]++
-		m.cfg.Obs.Add(m.obsPFRedundant, 1)
 		return true
 	}
 	lvl := probed
@@ -734,7 +713,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 		// Already as close as a prefetch can put it.
 		m.stats.PrefetchMergedResident++
 		m.pfRedundantPC[core]++
-		m.cfg.Obs.Add(m.obsPFRedundant, 1)
 		if meta != prefetch.UntrackedMeta {
 			m.pfs[core].OnFill(m.now, lineAddr, meta, lvl)
 		}
@@ -743,7 +721,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	if m.inflightPerCore[core] >= m.cfg.PrefetchMSHRs {
 		m.stats.PrefetchMSHRFull++
 		m.pfDroppedPC[core]++
-		m.cfg.Obs.Add(m.obsMSHRFull, 1)
 		return false
 	}
 	tlbLat := m.tlbs[core].Translate(addr)
@@ -777,7 +754,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	m.stats.PrefetchIssued++
 	m.pfIssuedPC[core]++
 	if m.cfg.Obs != nil {
-		m.cfg.Obs.Add(m.obsPFIssued, 1)
 		m.pfFlowSeq++
 		ev.flowID = m.pfFlowSeq
 		m.cfg.Obs.FlowBegin(core, ev.flowID, "prefetch", "pf")
@@ -816,12 +792,10 @@ func (m *Machine) processEvents(now int64) {
 		if ev.flowID != 0 {
 			m.cfg.Obs.FlowEnd(ev.core, ev.flowID, "prefetch", "pf")
 		}
-		if m.cfg.LedgerHook != nil {
-			//hot:noescape
-			m.cfg.LedgerHook(PFLineEvent{Core: ev.core, LineAddr: ev.lineAddr,
-				IssuedAt: ev.issuedAt, FilledAt: now, Level: ev.level,
-				DemandMerged: ev.demandMerged})
-		}
+		//hot:noescape
+		m.cfg.Obs.PrefetchFill(obs.LedgerRow{Core: ev.core, LineAddr: ev.lineAddr,
+			IssuedAt: ev.issuedAt, FilledAt: now, Level: uint8(ev.level),
+			DemandMerged: ev.demandMerged})
 		for _, meta := range ev.metas {
 			m.pfs[ev.core].OnFill(now, ev.lineAddr, meta, ev.level)
 		}
@@ -899,15 +873,19 @@ func (m *Machine) collect(now int64) Result {
 	return res
 }
 
-// abort closes out an aborted run: partial results up to now, plus the
-// wrapped sentinel so callers can classify the cause with errors.Is.
+// finish closes out a run at cycle now, clean (err nil) or aborted (err
+// wraps the sentinel callers classify with errors.Is): the results so
+// far, then the recorder's flush, whose failure (e.g. a full disk) joins
+// the run error — silently truncated outputs would be worse.
 //
 //hot:cold
-func (m *Machine) abort(now int64, err error) (Result, error) {
+func (m *Machine) finish(now int64, err error) (Result, error) {
 	// Collect first: FinishAt attributes each core's stall tail, which the
 	// recorder's final intervals must still see.
 	res := m.collect(now)
-	_ = m.cfg.Obs.Finish(now)
+	if ferr := m.cfg.Obs.Finish(now); ferr != nil {
+		err = errors.Join(err, fmt.Errorf("sim: observability export: %w", ferr))
+	}
 	return res, err
 }
 
@@ -954,7 +932,12 @@ func (m *Machine) Run() (Result, error) {
 	for iter := 0; ; iter++ {
 		if m.cfg.Interrupt != nil && iter&interruptPollMask == 0 && m.cfg.Interrupt() {
 			//lint:allow hotpath-alloc abort path: runs at most once per run
-			return m.abort(now, fmt.Errorf("sim: %w at cycle %d", ErrInterrupted, now))
+			return m.finish(now, fmt.Errorf("sim: %w at cycle %d", ErrInterrupted, now))
+		}
+		// A crossed interval boundary is sampled before any event at now
+		// runs: every sampled counter's growth so far happened before it.
+		if nextFlush <= now {
+			m.cfg.Obs.Sample(now)
 		}
 		// Prefetch fills due at or before now install before any core runs
 		// at now, so a demand access this cycle sees them.
@@ -1026,25 +1009,17 @@ func (m *Machine) Run() (Result, error) {
 			if next >= farFuture {
 				// All cores claim no progress is possible but none are done.
 				//lint:allow hotpath-alloc abort path: runs at most once per run
-				return m.abort(now, fmt.Errorf("sim: %w at cycle %d", ErrDeadlock, now))
+				return m.finish(now, fmt.Errorf("sim: %w at cycle %d", ErrDeadlock, now))
 			}
 		}
 		now = next
 		if now > m.cfg.MaxCycles {
 			//lint:allow hotpath-alloc abort path: runs at most once per run
-			return m.abort(now, fmt.Errorf("sim: %w (limit %d)", ErrMaxCycles, m.cfg.MaxCycles))
+			return m.finish(now, fmt.Errorf("sim: %w (limit %d)", ErrMaxCycles, m.cfg.MaxCycles))
 		}
 	}
 
-	res := m.collect(now)
-	// FinishAt attributed every core's tail; flush the remaining intervals
-	// and close the trace. Export failures (e.g. a full disk) surface as
-	// run errors — silently truncated metrics would be worse.
-	if ferr := m.cfg.Obs.Finish(now); ferr != nil {
-		//lint:allow hotpath-alloc teardown path: runs at most once per run
-		return res, fmt.Errorf("sim: observability export: %w", ferr)
-	}
-	return res, nil
+	return m.finish(now, nil)
 }
 
 // Run assembles a machine and runs a workload generator to completion: the

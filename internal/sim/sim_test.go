@@ -482,16 +482,40 @@ func TestInterruptUnwindsProducer(t *testing.T) {
 	}
 }
 
+// TestNewMachineRejectsBadConfig: every bad sweep point must surface as an
+// error from NewMachine and from Run — never a panic inside a runner
+// worker, and never a run that spins to MaxCycles.
 func TestNewMachineRejectsBadConfig(t *testing.T) {
-	space := memspace.New()
-	cfg := Default(1)
-	cfg.Cache.L1Size = 768 // 6 sets per way: not a power of two
-	if _, err := NewMachine(cfg, space, trace.NewGen(1)); err == nil {
-		t.Fatal("NewMachine accepted a non-power-of-two cache geometry")
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"non-power-of-two L1 sets", func(c *Config) { c.Cache.L1Size = 768 }},
+		{"zero cores", func(c *Config) { c.Cores = 0 }},
+		{"negative cores", func(c *Config) { c.Cores = -1 }},
+		{"more cores than the hierarchy", func(c *Config) { c.Cache.Cores = 1 }},
+		{"zero width", func(c *Config) { c.CPU.Width = 0 }},
+		{"zero ROB", func(c *Config) { c.CPU.ROBSize = 0 }},
+		{"negative width", func(c *Config) { c.CPU.Width = -4 }},
+		{"negative predictor bits", func(c *Config) { c.CPU.BPBits = -1 }},
 	}
-	// The same bad point must surface as a run error, not a panic.
-	if _, err := Run(cfg, space, trace.NewGen(1), func(g *trace.Gen) {}); err == nil {
-		t.Fatal("Run accepted a bad config")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			cfg := Default(2)
+			tc.edit(&cfg)
+			if _, err := NewMachine(cfg, memspace.New(), trace.NewGen(2)); err == nil {
+				t.Fatal("NewMachine accepted the config")
+			}
+			_, err := Run(cfg, memspace.New(), trace.NewGen(2), func(g *trace.Gen) { g.Load(0, 1, memspace.Base) })
+			if err == nil {
+				t.Fatal("Run accepted the config")
+			}
+		})
 	}
 }
 

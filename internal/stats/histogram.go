@@ -21,8 +21,9 @@ const (
 // Histogram is a fixed-bucket latency histogram: exact bins for
 // latencies in [0, histExactMax) and power-of-two buckets above.
 // Record is allocation-free, so a Histogram can sit behind a hot
-// simulator hook (sim.Config.LatencyHook) without perturbing the
-// hot-path allocation contract. The zero value is ready to use.
+// simulator hook (obs.Options.Latency, fed on every demand load) without
+// perturbing the hot-path allocation contract. The zero value is ready
+// to use.
 type Histogram struct {
 	exact [histExactMax]uint64
 	pow2  [histPow2Bins]uint64
